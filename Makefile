@@ -46,11 +46,13 @@ bench:
 bench-netsim:
 	go run ./cmd/benchreport run -label netsim-local -bench HotLoop -pkg ./internal/netsim -count 5
 
-# bench-netsim-event reruns the event-engine benchmarks (the q=11 event
-# loop and the q=31 cycle-vs-event scale point) and writes
+# bench-netsim-event reruns the event-loop benchmarks (the q=11 event
+# loop and the q=31 cycle-vs-event scale point, a latency-bound shape on
+# which Run selects the event loop) and writes
 # BENCH_netsim-event-local.json for comparison against the committed
 # baseline. The wide threshold absorbs runner drift while still failing
-# if the event engine's order-of-magnitude advantage at q=31 evaporates:
+# if the event loop's order-of-magnitude advantage on that shape
+# evaporates:
 #   go run ./cmd/benchreport compare -threshold 2.0 BENCH_netsim-event.json BENCH_netsim-event-local.json
 bench-netsim-event:
 	go run ./cmd/benchreport run -label netsim-event-local -bench 'EventLoop|EngineScale' -pkg ./internal/netsim -count 3
@@ -68,17 +70,19 @@ scorecard:
 	go run ./cmd/benchreport scorecard
 
 # scorecard-q31 runs the full §7.3-scale design point: the q=31 (N=993)
-# sweep on the event engine, gated against the Theorem 7.6 / 7.19 floors
-# exactly like the main scorecard. The Hamiltonian fill transient grows
-# with tree depth (N−1)/2 = 496, so the vector scales up with q to keep
-# the steady state dominant (m=196608 lands the point at −7.5% of the
-# Theorem 7.19 floor; the default m=16384 would sit at −49%). Writes
-# BENCH_q31.json; exits 1 on violation. CI regenerates it and
-# byte-compares against the committed snapshot (engine choice never
-# changes a point). Budget ~20 min single-core: ~8·10⁸ trace events per
-# embedding stream through the obsv collector.
+# sweep, gated against the Theorem 7.6 / 7.19 floors exactly like the
+# main scorecard. The Hamiltonian fill transient grows with tree depth
+# (N−1)/2 = 496, so the vector scales up with q to keep the steady state
+# dominant (m=196608 lands the point at −7.5% of the Theorem 7.19 floor;
+# the default m=16384 would sit at −49%). Every point is bandwidth-bound
+# (fill 496 cycles against streams ≥ 12288 elements), so the simulator
+# runs them on its cycle loop. Writes BENCH_q31.json; exits 1 on
+# violation. CI regenerates it and byte-compares against the committed
+# snapshot (the advance loop never changes a point). Budget ~20 min
+# single-core: ~8·10⁸ trace events per embedding stream through the obsv
+# collector.
 scorecard-q31:
-	go run ./cmd/benchreport scorecard -q 31 -m 196608 -engine event -label q31
+	go run ./cmd/benchreport scorecard -q 31 -m 196608 -label q31
 
 # scorecard-degraded fails the worst-case link mid-reduction for every
 # embedding and gates the simulator's measured post-recovery bandwidth

@@ -88,15 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tsWindows := fs.Int("ts-windows", 64, "telemetry ring capacity per resolution level (with -ts-out)")
 	critpathOut := fs.String("critpath-out", "", "reconstruct each embedding's causal critical path from the trace stream and write the markdown blame report to this file")
 	progress := fs.Bool("progress", false, "print a heartbeat with simulated cycles/s and an ETA to stderr while simulations run (stdout is unchanged)")
-	engineName := fs.String("engine", "cycle", "netsim advance engine: cycle (reference per-cycle loop) or event (cycle-skipping; byte-identical output, required at q=127 scale)")
 	embeddings := fs.String("embeddings", "", "comma-separated embedding kinds to run in the comparison (low-depth, hamiltonian, single-tree); empty runs the full sweep")
 	maxSimBytes := fs.Int64("max-sim-bytes", 0, "fail if any run's simulator arena footprint exceeds this many bytes (0 disables; the footprint is deterministic, see netsim.ArenaFootprint)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	engine, err := netsim.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(stderr, "allreduce-sim: -engine:", err)
 		return 2
 	}
 	var kinds []core.EmbeddingKind
@@ -164,15 +158,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *sweep {
-		return runSweep(*q, *m, *latency, *vc, *parallel, *seed, engine, stdout, stderr)
+		return runSweep(*q, *m, *latency, *vc, *parallel, *seed, stdout, stderr)
 	}
 	if *failLinks != "" || *faultSeed != 0 || *faultPlan != "" || *failRouters != "" || *chaosSeed != 0 {
 		return runFaults(*q, *m, *latency, *vc, *parallel, *seed,
 			*failLinks, *failRouters, *failAt, *faultSeed, *chaosSeed, *faultPlan, *traceOut, *metricsOut,
-			*tsOut, *sampleEvery, *tsWindows, *critpathOut, engine, meter, stdout, stderr)
+			*tsOut, *sampleEvery, *tsWindows, *critpathOut, meter, stdout, stderr)
 	}
 
-	cfg := netsim.Config{LinkLatency: *latency, VCDepth: *vc, Engine: engine}
+	cfg := netsim.Config{LinkLatency: *latency, VCDepth: *vc}
 
 	// With -trace-out/-metrics-out/-ts-out/-critpath-out/-progress, prep
 	// wires one collector, telemetry rig, critical-path builder, and/or
@@ -629,7 +623,7 @@ func treeLinks(e *core.Embedding) [][2]int {
 // (rows render to strings inside the jobs and print afterwards in
 // embedding order), so -parallel N output is byte-identical to serial.
 func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers string, at int, fseed, chaosSeed int64, planPath, traceOut, metricsOut string,
-	tsOut string, sampleEvery, tsWindows int, critpathOut string, engine netsim.Engine, meter *progressMeter, stdout, stderr io.Writer) int {
+	tsOut string, sampleEvery, tsWindows int, critpathOut string, meter *progressMeter, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "allreduce-sim:", err)
 		return 1
@@ -759,7 +753,7 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 			pred = deg.Model.Aggregate
 		}
 
-		cfg := netsim.Config{LinkLatency: latency, VCDepth: vc, Faults: plan, Engine: engine}
+		cfg := netsim.Config{LinkLatency: latency, VCDepth: vc, Faults: plan}
 		if traceOut != "" || metricsOut != "" || tsOut != "" || critpathOut != "" {
 			kindOrder = append(kindOrder, kind)
 		}
@@ -918,8 +912,8 @@ var sweepKinds = []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamil
 // so they run on a parrun pool; rows are rendered to strings inside the
 // jobs and printed afterwards in m order, keeping stdout byte-identical
 // to the serial sweep.
-func runSweep(q, maxM, latency, vc, parallel int, seed int64, engine netsim.Engine, stdout, stderr io.Writer) int {
-	cfg := netsim.Config{LinkLatency: latency, VCDepth: vc, Engine: engine}
+func runSweep(q, maxM, latency, vc, parallel int, seed int64, stdout, stderr io.Writer) int {
+	cfg := netsim.Config{LinkLatency: latency, VCDepth: vc}
 	var ms []int
 	for m := 8; m <= maxM; m *= 4 {
 		ms = append(ms, m)

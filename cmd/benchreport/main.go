@@ -52,18 +52,9 @@ import (
 
 	"polarfly/internal/analysis"
 	"polarfly/internal/chaos"
-	"polarfly/internal/netsim"
 	"polarfly/internal/parrun"
 	"polarfly/internal/perf"
 )
-
-// engineFlag registers the shared -engine flag: every simulation-backed
-// subcommand can run on either netsim advance engine, and because the
-// engines are differentially tested byte-identical the snapshots do not
-// record the choice.
-func engineFlag(fs *flag.FlagSet) *string {
-	return fs.String("engine", "cycle", "netsim advance engine: cycle or event (byte-identical output)")
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -391,7 +382,6 @@ func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 	degraded := fs.Bool("degraded", false, "run the fault-injection sweep instead: inject the worst-case link failure per embedding and gate measured post-recovery bandwidth against the core.Degrade prediction")
 	failAt := fs.Int("fail-at", defDeg.FailAt, "cycle the worst-case link fails (with -degraded)")
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
-	engine := engineFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -404,17 +394,12 @@ func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchreport: -q:", err)
 		return 2
 	}
-	eng, err := netsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -engine:", err)
-		return 2
-	}
 	if *degraded {
-		return cmdScorecardDegraded(qs, *m, *latency, *vc, *failAt, *parallel, *seed, *tol, eng, *label, *outDir, stdout, stderr)
+		return cmdScorecardDegraded(qs, *m, *latency, *vc, *failAt, *parallel, *seed, *tol, *label, *outDir, stdout, stderr)
 	}
 	cfg := perf.ScorecardConfig{
 		Qs: qs, M: *m, LinkLatency: *latency, VCDepth: *vc,
-		Seed: *seed, Tolerance: *tol, Parallel: *parallel, Engine: eng,
+		Seed: *seed, Tolerance: *tol, Parallel: *parallel,
 	}
 	points, err := perf.Scorecard(cfg)
 	if err != nil {
@@ -450,7 +435,7 @@ func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 // happening, outputs staying numerically correct, and the measured
 // post-recovery bandwidth landing within tolerance of core.Degrade.
 func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed int64, tol float64,
-	engine netsim.Engine, label, outDir string, stdout, stderr io.Writer) int {
+	label, outDir string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "benchreport:", err)
 		return 1
@@ -464,7 +449,6 @@ func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed i
 		cfgs[i] = perf.DegradedConfig{
 			Q: q, M: m, LinkLatency: latency, VCDepth: vc,
 			FailAt: failAt, Seed: seed, Tolerance: tol, Parallel: parallel,
-			Engine: engine,
 		}
 	}
 	perQ, err := parrun.Map(parallel, len(cfgs), func(i int) ([]perf.DegradedPoint, error) {
@@ -527,7 +511,6 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 	maxBytes := fs.Int("max-bytes", 0, "fail if the sampler footprint exceeds this many bytes per run (0 disables)")
 	faultAt := fs.Int("fault-at", 0, "inject a link failure at this cycle on multi-tree embeddings and cross-check the telemetry-derived events against the trace (0 disables)")
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
-	engine := engineFlag(fs)
 	label := fs.String("label", "timeline", "snapshot label; output file is TIMELINE_<label>.json")
 	outDir := fs.String("out", ".", "directory for the TIMELINE_<label>.json snapshot")
 	if err := fs.Parse(args); err != nil {
@@ -537,16 +520,11 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchreport:", err)
 		return 1
 	}
-	eng, err := netsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -engine:", err)
-		return 2
-	}
 	cfg := perf.TimelineConfig{
 		Q: *q, M: *m, LinkLatency: *latency, VCDepth: *vc,
 		SampleEvery: *sampleEvery, Windows: *windows, Levels: *levels, Factor: *factor,
 		Seed: *seed, Tolerance: *tol, MaxBytes: *maxBytes, FaultAt: *faultAt,
-		Parallel: *parallel, Engine: eng,
+		Parallel: *parallel,
 	}
 	runs, err := perf.Timeline(cfg)
 	if err != nil {
@@ -595,7 +573,6 @@ func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 	failAt := fs.Int("fail-at", def.FailAt, "cycle the worst-case link fails in the faulted half of the sweep")
 	seed := fs.Int64("seed", def.Seed, "workload seed")
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
-	engine := engineFlag(fs)
 	label := fs.String("label", "critpath", "snapshot label; output file is CRITPATH_<label>.json")
 	outDir := fs.String("out", ".", "directory for the CRITPATH_<label>.json snapshot")
 	if err := fs.Parse(args); err != nil {
@@ -610,14 +587,9 @@ func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchreport: -q:", err)
 		return 2
 	}
-	eng, err := netsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -engine:", err)
-		return 2
-	}
 	cfg := perf.CritPathConfig{
 		Qs: qs, M: *m, LinkLatency: *latency, VCDepth: *vc,
-		FailAt: *failAt, Seed: *seed, Parallel: *parallel, Engine: eng,
+		FailAt: *failAt, Seed: *seed, Parallel: *parallel,
 	}
 	points, err := perf.CritPath(cfg)
 	if err != nil {
@@ -668,7 +640,6 @@ func cmdCampaign(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", def.Seed, "campaign seed; each run's plan derives from (seed, q, embedding, run)")
 	tolerance := fs.Float64("tolerance", def.Tolerance, "relative error allowed between measured post-recovery bandwidth and the Degrade prediction")
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
-	engine := engineFlag(fs)
 	label := fs.String("label", "campaign", "snapshot label; output file is CAMPAIGN_<label>.json")
 	outDir := fs.String("out", ".", "directory for the CAMPAIGN_<label>.json snapshot")
 	if err := fs.Parse(args); err != nil {
@@ -681,11 +652,6 @@ func cmdCampaign(args []string, stdout, stderr io.Writer) int {
 	qs, err := parseInts(*qList)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchreport: -q:", err)
-		return 2
-	}
-	eng, err := netsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -engine:", err)
 		return 2
 	}
 	var kinds []string
@@ -704,7 +670,6 @@ func cmdCampaign(args []string, stdout, stderr io.Writer) int {
 	cfg.Seed = *seed
 	cfg.Tolerance = *tolerance
 	cfg.Parallel = *parallel
-	cfg.Engine = eng
 	rep, err := chaos.Campaign(cfg)
 	if err != nil {
 		return fail(err)

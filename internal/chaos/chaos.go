@@ -71,9 +71,6 @@ type Config struct {
 	// either way; excluded from snapshots so CAMPAIGN_*.json stays
 	// byte-identical.
 	Parallel int `json:"-"`
-	// Engine selects the netsim advance strategy (cycle or event); the
-	// engines are byte-identical, so it is excluded from snapshots.
-	Engine netsim.Engine `json:"-"`
 }
 
 // DefaultConfig is the scorecard calibration: 64 plans per point over
@@ -357,7 +354,7 @@ func runOne(cfg Config, sp *pointSpec, run int) runResult {
 
 	runCfg := netsim.Config{
 		LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth,
-		Faults: plan, Engine: cfg.Engine,
+		Faults: plan,
 	}
 	b := critpath.NewBuilder()
 	b.Attach(&runCfg)

@@ -5,42 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"polarfly/internal/netsim"
 )
-
-// TestCampaignEngineEquivalence runs the smoke campaign on both netsim
-// engines: every randomized fault plan — correlated link-downs, storms,
-// degradations, router failures — must yield a byte-identical report,
-// extending the engines' differential contract to the chaos generator's
-// full scenario space.
-func TestCampaignEngineEquivalence(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Engine = netsim.EngineCycle
-	cyc, err := Campaign(cfg)
-	if err != nil {
-		t.Fatalf("Campaign (cycle): %v", err)
-	}
-	cfg.Engine = netsim.EngineEvent
-	evt, err := Campaign(cfg)
-	if err != nil {
-		t.Fatalf("Campaign (event): %v", err)
-	}
-	if fails := evt.Failures(); len(fails) != 0 {
-		t.Fatalf("event-engine campaign recorded %d violations:\n%s", len(fails), strings.Join(fails, "\n"))
-	}
-	var a, b bytes.Buffer
-	cyc.Label, evt.Label = "x", "x"
-	if err := cyc.WriteJSON(&a); err != nil {
-		t.Fatalf("WriteJSON (cycle): %v", err)
-	}
-	if err := evt.WriteJSON(&b); err != nil {
-		t.Fatalf("WriteJSON (event): %v", err)
-	}
-	if a.String() != b.String() {
-		t.Error("event-engine campaign report not byte-identical to cycle engine")
-	}
-}
 
 func smokeConfig() Config {
 	cfg := DefaultConfig()

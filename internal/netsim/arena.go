@@ -6,10 +6,11 @@ import "unsafe"
 // allocations — the arenas sized at construction time that bound a run's
 // memory: per-(job, node) tree state, the flow blocks with their VC
 // receive buffers, the link records with their pipeline rings, the
-// shared output matrix, and (under EngineEvent) the wake-set machinery.
-// The numbers are computed from structure counts and capacities, so both
-// engines report identical footprints for identical specs and the q=127
-// smoke can gate on a deterministic ceiling instead of process RSS.
+// shared output matrix, and (when the event loop was selected) the
+// wake-set machinery. The numbers are computed from structure counts and
+// capacities, so the footprint is a pure function of (Spec, Config) and
+// the q=127 smoke can gate on a deterministic ceiling instead of process
+// RSS.
 type ArenaFootprint struct {
 	// Links and Flows count directed links and registered flow streams
 	// (recovery re-issues included).
@@ -31,8 +32,9 @@ type ArenaFootprint struct {
 	PipelineBytes int64
 	// OutputBytes is the shared n×m result matrix.
 	OutputBytes int64
-	// EventBytes is the event engine's wake sets, timing wheel, and
-	// retirement queues; zero under EngineCycle.
+	// EventBytes is the event loop's wake sets, timing wheel, and
+	// retirement queues. It is non-zero exactly when newSim selected the
+	// event loop (see eventLoopFits) and zero on cycle-loop runs.
 	EventBytes int64
 	// TotalBytes sums every component above.
 	TotalBytes int64
@@ -43,7 +45,7 @@ func (b *linkSet) bytes() int64 {
 	return int64(len(b.l0)+len(b.l1)+len(b.l2)) * 8
 }
 
-// footprint sizes the event-engine state machine.
+// footprint sizes the event-loop state machine.
 func (ev *evState) footprint() int64 {
 	setSz := int64(unsafe.Sizeof(linkSet{}))
 	total := int64(unsafe.Sizeof(evState{}))
@@ -55,7 +57,6 @@ func (ev *evState) footprint() int64 {
 	total += int64(len(ev.scratch)) * 4
 	ptr := int64(unsafe.Sizeof(uintptr(0)))
 	total += int64(cap(ev.conNow)+cap(ev.conNext)) * ptr
-	total += int64(len(ev.engineStamp)) * 8
 	return total
 }
 

@@ -114,7 +114,7 @@ func BenchmarkCycleLoop(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, err := newSim(spec, cfg)
+				s, err := newSim(spec, cfg, forceCycle)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -143,11 +143,10 @@ func BenchmarkEventLoop(b *testing.B) {
 		spec := benchSpec(b, 11, 8192, kind)
 		b.Run("q=11/"+kind, func(b *testing.B) {
 			cfg := hotLoopCfg()
-			cfg.Engine = EngineEvent
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, err := newSim(spec, cfg)
+				s, err := newSim(spec, cfg, forceEvent)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -168,25 +167,30 @@ func BenchmarkEventLoop(b *testing.B) {
 
 // BenchmarkEngineScale is the committed cycle-vs-event headline point:
 // q=31 (N=993) Hamiltonian with deep pipelines and one short flow per
-// directed link, so most links idle most cycles. The cycle loop still
-// visits every link every cycle; the event loop only wakes the active
-// ones. The committed BENCH_netsim-event.json records both subbenches,
-// and CI's compare gate fails if the event engine's advantage evaporates.
+// directed link, so most links idle most cycles — a latency-bound shape
+// on which Run selects the event loop. The cycle loop still visits every
+// link every cycle; the event loop only wakes the active ones. The
+// committed BENCH_netsim-event.json records both subbenches, and CI's
+// compare gate fails if the event loop's advantage on this shape
+// evaporates.
 func BenchmarkEngineScale(b *testing.B) {
 	spec := benchSpec(b, 31, 4096, "hamiltonian")
-	for _, engine := range []Engine{EngineCycle, EngineEvent} {
-		b.Run("q=31/engine="+engine.String(), func(b *testing.B) {
-			cfg := Config{LinkLatency: 10, VCDepth: 16, Engine: engine}
+	for _, loop := range []struct {
+		name   string
+		choice loopChoice
+	}{{"cycle", forceCycle}, {"event", forceEvent}} {
+		b.Run("q=31/engine="+loop.name, func(b *testing.B) {
+			cfg := Config{LinkLatency: 10, VCDepth: 16}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, err := newSim(spec, cfg)
+				s, err := newSim(spec, cfg, loop.choice)
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
 				var now int
-				if engine == EngineEvent {
+				if s.ev != nil {
 					now, err = s.eventLoop()
 				} else {
 					now, err = s.cycleLoop()

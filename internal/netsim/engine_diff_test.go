@@ -9,8 +9,8 @@ import (
 	"polarfly/internal/faults"
 )
 
-// runCapture executes one simulation under the given engine with full
-// trace and telemetry capture, returning everything an engine can
+// runCapture executes one simulation on the given loop choice with full
+// trace and telemetry capture, returning everything a loop can
 // observably produce: the Result, the error, the complete trace stream,
 // and deep copies of every sample frame.
 type engineRun struct {
@@ -20,9 +20,8 @@ type engineRun struct {
 	frames []SampleFrame
 }
 
-func runCapture(spec Spec, cfg Config, engine Engine) engineRun {
+func runCapture(spec Spec, cfg Config, choice loopChoice) engineRun {
 	var r engineRun
-	cfg.Engine = engine
 	cfg.Trace = func(ev TraceEvent) { r.events = append(r.events, ev) }
 	cfg.SampleEvery = 16
 	cfg.Sample = func(f *SampleFrame) {
@@ -30,8 +29,30 @@ func runCapture(spec Spec, cfg Config, engine Engine) engineRun {
 		cp.Links = append([]LinkCounters(nil), f.Links...)
 		r.frames = append(r.frames, cp)
 	}
-	r.res, r.err = Run(spec, cfg)
+	r.res, r.err = runWith(spec, cfg, choice)
 	return r
+}
+
+// candidateRun runs the scenario on the loop under test against the
+// cycle-loop reference: the event loop, forced, wherever Run may select
+// it (fault-free, no EngineRate cap); otherwise the loop Run selects,
+// which must be the cycle loop — the event loop carries no fault or
+// rate-cap code, so a selection that let such a run reach it diverges
+// here.
+func candidateRun(spec Spec, cfg Config) (run engineRun, event bool) {
+	if cfg.Faults == nil && cfg.EngineRate == 0 {
+		return runCapture(spec, cfg, forceEvent), true
+	}
+	return runCapture(spec, cfg, pickLoop), false
+}
+
+// checkCandidate runs the reference and the candidate and compares them.
+func checkCandidate(t *testing.T, spec Spec, cfg Config) (ref, got engineRun) {
+	t.Helper()
+	ref = runCapture(spec, cfg, forceCycle)
+	got, event := candidateRun(spec, cfg)
+	compareRuns(t, ref, got, event)
+	return ref, got
 }
 
 // firstTreeEdge returns the first (child, parent) edge of tree 0 — the
@@ -72,35 +93,36 @@ func diffPlans(spec Spec) []struct {
 	}
 }
 
-// compareRuns asserts byte-identity between the cycle-engine reference
-// run and the event-engine run: identical error, identical JSON-encoded
-// Result, identical trace event sequence, identical telemetry frames.
-func compareRuns(t *testing.T, ref, got engineRun) {
+// compareRuns asserts byte-identity between the cycle-loop reference run
+// and the candidate run (on the event loop when event is set): identical
+// error, identical JSON-encoded Result, identical trace event sequence,
+// identical telemetry frames.
+func compareRuns(t *testing.T, ref, got engineRun, event bool) {
 	t.Helper()
 	if (ref.err == nil) != (got.err == nil) {
-		t.Fatalf("error divergence: cycle=%v event=%v", ref.err, got.err)
+		t.Fatalf("error divergence: cycle=%v candidate=%v", ref.err, got.err)
 	}
 	if ref.err != nil {
 		if ref.err.Error() != got.err.Error() {
-			t.Fatalf("error text divergence:\n cycle: %v\n event: %v", ref.err, got.err)
+			t.Fatalf("error text divergence:\n cycle: %v\n candidate: %v", ref.err, got.err)
 		}
 		var rp, gp *ProgressError
 		if errors.As(ref.err, &rp) != errors.As(got.err, &gp) {
-			t.Fatalf("error type divergence: cycle=%T event=%T", ref.err, got.err)
+			t.Fatalf("error type divergence: cycle=%T candidate=%T", ref.err, got.err)
 		}
 	} else {
-		// Arena.EventBytes sizes machinery only the event engine allocates —
-		// the one documented engine-dependent Result field. Check it obeys
+		// Arena.EventBytes sizes machinery only the event loop allocates —
+		// the one documented loop-dependent Result field. Check it obeys
 		// its contract, then normalise it out of the byte comparison.
 		ra, ga := ref.res.Arena, got.res.Arena
 		if ra.EventBytes != 0 {
-			t.Fatalf("cycle engine reported EventBytes=%d, want 0", ra.EventBytes)
+			t.Fatalf("cycle loop reported EventBytes=%d, want 0", ra.EventBytes)
 		}
-		if ga.EventBytes <= 0 {
-			t.Fatalf("event engine reported EventBytes=%d, want > 0", ga.EventBytes)
+		if event != (ga.EventBytes > 0) {
+			t.Fatalf("candidate reported EventBytes=%d, event loop=%v", ga.EventBytes, event)
 		}
 		if ga.TotalBytes-ga.EventBytes != ra.TotalBytes {
-			t.Fatalf("arena totals disagree beyond EventBytes: cycle %+v event %+v", ra, ga)
+			t.Fatalf("arena totals disagree beyond EventBytes: cycle %+v candidate %+v", ra, ga)
 		}
 		got.res.Arena = ra
 		defer func() { got.res.Arena = ga }()
@@ -113,29 +135,29 @@ func compareRuns(t *testing.T, ref, got engineRun) {
 			t.Fatal(err)
 		}
 		if string(rb) != string(gb) {
-			t.Errorf("Result bytes diverge:\n cycle: %.2000s\n event: %.2000s", rb, gb)
+			t.Errorf("Result bytes diverge:\n cycle: %.2000s\n candidate: %.2000s", rb, gb)
 		}
 	}
 	if len(ref.events) != len(got.events) {
-		t.Fatalf("trace length divergence: cycle=%d event=%d (first divergence: %s)",
+		t.Fatalf("trace length divergence: cycle=%d candidate=%d (first divergence: %s)",
 			len(ref.events), len(got.events), firstEventDiff(ref.events, got.events))
 	}
 	for i := range ref.events {
 		if ref.events[i] != got.events[i] {
-			t.Fatalf("trace event %d diverges:\n cycle: %+v\n event: %+v", i, ref.events[i], got.events[i])
+			t.Fatalf("trace event %d diverges:\n cycle: %+v\n candidate: %+v", i, ref.events[i], got.events[i])
 		}
 	}
 	if len(ref.frames) != len(got.frames) {
-		t.Fatalf("frame count divergence: cycle=%d event=%d", len(ref.frames), len(got.frames))
+		t.Fatalf("frame count divergence: cycle=%d candidate=%d", len(ref.frames), len(got.frames))
 	}
 	for i := range ref.frames {
 		rf, gf := ref.frames[i], got.frames[i]
 		if rf.Cycle != gf.Cycle || rf.Final != gf.Final || rf.Run != gf.Run {
-			t.Fatalf("frame %d header/run diverges:\n cycle: %+v\n event: %+v", i, rf, gf)
+			t.Fatalf("frame %d header/run diverges:\n cycle: %+v\n candidate: %+v", i, rf, gf)
 		}
 		for j := range rf.Links {
 			if rf.Links[j] != gf.Links[j] {
-				t.Fatalf("frame %d (cycle %d) link %d diverges:\n cycle: %+v\n event: %+v",
+				t.Fatalf("frame %d (cycle %d) link %d diverges:\n cycle: %+v\n candidate: %+v",
 					i, rf.Cycle, j, rf.Links[j], gf.Links[j])
 			}
 		}
@@ -149,17 +171,20 @@ func firstEventDiff(a, b []TraceEvent) string {
 	}
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			return fmt.Sprintf("index %d: cycle %+v vs event %+v", i, a[i], b[i])
+			return fmt.Sprintf("index %d: cycle %+v vs candidate %+v", i, a[i], b[i])
 		}
 	}
 	return fmt.Sprintf("common prefix of %d events identical", n)
 }
 
 // TestEngineEquivalence is the differential harness of DESIGN.md §7h:
-// for every swept q × embedding × fault scenario, the event engine must
-// reproduce the cycle engine byte for byte — Result (JSON), trace stream,
-// and telemetry frames — including identical classified errors where the
-// scenario kills every tree.
+// for every swept q × embedding × scenario, the candidate loop (see
+// candidateRun) must reproduce the cycle loop byte for byte — Result
+// (JSON), trace stream, and telemetry frames — including identical
+// classified errors where a fault scenario kills every tree. The
+// fault-free scenarios compare the event loop; the faulted ones check
+// that Run keeps them on the cycle loop. The q=17 point is the
+// latency-bound shape Run hands the event loop by default.
 func TestEngineEquivalence(t *testing.T) {
 	cfg := Config{LinkLatency: 3, VCDepth: 2}
 	for _, q := range []int{3, 5, 7, 11} {
@@ -179,20 +204,27 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Parallel()
 					c := cfg
 					c.Faults = sc.plan
-					ref := runCapture(spec, c, EngineCycle)
-					got := runCapture(spec, c, EngineEvent)
-					compareRuns(t, ref, got)
+					checkCandidate(t, spec, c)
 				})
 			}
 		}
 	}
+	t.Run("q=17/hamiltonian/latency-bound", func(t *testing.T) {
+		t.Parallel()
+		spec := benchSpec(t, 17, 64, "hamiltonian")
+		c := Config{LinkLatency: 10, VCDepth: 10}
+		if !eventLoopFits(spec, c) {
+			t.Fatal("Run would not select the event loop for this point")
+		}
+		checkCandidate(t, spec, c)
+	})
 }
 
 // TestEngineEquivalenceVariants covers the configuration axes the main
-// matrix holds fixed: deep pipelines, trunked links, a rate-limited
-// reduction engine, reduce/broadcast-only collectives, and the
-// no-recovery abort path (both engines must emit the same ProgressError
-// at the same cycle).
+// matrix holds fixed: deep pipelines, trunked links, reduce/broadcast-only
+// collectives on the event loop; a rate-limited reduction engine and the
+// fault abort paths (same ProgressError or sentinel at the same cycle) on
+// the loop Run selects for them.
 func TestEngineEquivalenceVariants(t *testing.T) {
 	spec := benchSpec(t, 5, 512, "lowdepth")
 	u, v := firstTreeEdge(spec)
@@ -215,9 +247,7 @@ func TestEngineEquivalenceVariants(t *testing.T) {
 			t.Parallel()
 			sp := spec
 			sp.Op = vt.op
-			ref := runCapture(sp, vt.cfg, EngineCycle)
-			got := runCapture(sp, vt.cfg, EngineEvent)
-			compareRuns(t, ref, got)
+			checkCandidate(t, sp, vt.cfg)
 		})
 	}
 
@@ -227,12 +257,10 @@ func TestEngineEquivalenceVariants(t *testing.T) {
 			Faults: &faults.Plan{Faults: []faults.Fault{
 				{Kind: faults.LinkDown, U: u, V: v, At: 50},
 			}}}
-		ref := runCapture(spec, c, EngineCycle)
-		got := runCapture(spec, c, EngineEvent)
+		ref, got := checkCandidate(t, spec, c)
 		if ref.err == nil || got.err == nil {
-			t.Fatalf("expected both engines to abort: cycle=%v event=%v", ref.err, got.err)
+			t.Fatalf("expected both runs to abort: reference=%v candidate=%v", ref.err, got.err)
 		}
-		compareRuns(t, ref, got)
 	})
 
 	t.Run("single-tree-all-lost", func(t *testing.T) {
@@ -243,11 +271,9 @@ func TestEngineEquivalenceVariants(t *testing.T) {
 			Faults: &faults.Plan{Faults: []faults.Fault{
 				{Kind: faults.LinkDown, U: su, V: sv, At: 40},
 			}}}
-		ref := runCapture(sp, c, EngineCycle)
-		got := runCapture(sp, c, EngineEvent)
+		ref, got := checkCandidate(t, sp, c)
 		if !errors.Is(ref.err, ErrAllTreesLost) || !errors.Is(got.err, ErrAllTreesLost) {
-			t.Fatalf("expected ErrAllTreesLost from both: cycle=%v event=%v", ref.err, got.err)
+			t.Fatalf("expected ErrAllTreesLost from both: reference=%v candidate=%v", ref.err, got.err)
 		}
-		compareRuns(t, ref, got)
 	})
 }

@@ -1,24 +1,22 @@
 package netsim
 
-// The event engine (Config.Engine == EngineEvent) reproduces the cycle
-// loop's semantics while skipping cycles in which nothing can change. It
-// rests on one observation about the reference loop: a link that has no
-// deliverable flit, no sendable flow and no retiring credit contributes
-// nothing to a cycle — scanning it is pure overhead. The engine therefore
-// maintains, per upcoming cycle, a *superset* of the links that can act
-// (spurious wakes are harmless; missed wakes are bugs), processes exactly
-// those links in ascending link-id order through the same per-cycle phase
-// sequence as the cycle loop, and advances `now` directly to the next
-// cycle with any scheduled work. DESIGN.md §7h derives why the wake rules
-// below cannot miss a congestion or fault edge; the differential harness
-// in engine_diff_test.go checks byte-identity against the cycle loop.
+// The event loop reproduces the cycle loop's semantics while skipping
+// cycles in which nothing can change. It rests on one observation about
+// the reference loop: a link that has no deliverable flit, no sendable
+// flow and no retiring credit contributes nothing to a cycle — scanning
+// it is pure overhead. The loop therefore maintains, per upcoming cycle,
+// a *superset* of the links that can act (spurious wakes are harmless;
+// missed wakes are bugs), processes exactly those links in ascending
+// link-id order through the same per-cycle phase sequence as the cycle
+// loop, and advances `now` directly to the next cycle with any scheduled
+// work. DESIGN.md §7h derives why the wake rules below cannot miss a
+// congestion edge; the differential harness in engine_diff_test.go checks
+// byte-identity against the cycle loop.
 //
-// Fault-plan runs never skip: fault windows open and close on absolute
-// cycles, detection deadlines expire on absolute cycles, and degraded
-// token buckets refill fractionally every cycle, so the engine falls back
-// to processing each cycle in turn (still touching only woken links in
-// arbitration). Faulted scorecards run at small q, where that costs
-// little; the large-N points this engine exists for are fault-free.
+// newSim selects this loop only for latency-bound runs (see
+// eventLoopFits): fault-free, with no engine-rate cap, and with pipeline
+// fill longer than the longest per-tree stream. Fault plans and rate caps
+// therefore never reach it, and it carries no code for them.
 
 // evInf is the "no constraint" sentinel for the incremental minima and
 // horizon terms.
@@ -107,7 +105,7 @@ func (b *linkSet) drainTo(dst []int32) int {
 	return k
 }
 
-// evState is the event engine's wake bookkeeping. Everything here is a
+// evState is the event loop's wake bookkeeping. Everything here is a
 // conservative schedule — membership means "may act", never "will act" —
 // so correctness only requires that every state change enqueues the wakes
 // its consequences need.
@@ -147,11 +145,6 @@ type evState struct {
 	// bufTotal is the incrementally maintained Σ link.curBuf, replacing
 	// the cycle loop's per-cycle summation for the global peak.
 	bufTotal int
-
-	// engineStamp[v] is the last cycle engineUsed[v] was touched; the
-	// stamp replaces the cycle loop's O(n) per-cycle reset. Allocated
-	// only when EngineRate > 0 (the counters are unread otherwise).
-	engineStamp []int
 }
 
 func (s *sim) initEvent() {
@@ -174,9 +167,6 @@ func (s *sim) initEvent() {
 	}
 	ev.conNow = make([]*flow, nf)
 	ev.conNext = make([]*flow, nf)
-	if s.cfg.EngineRate > 0 {
-		ev.engineStamp = make([]int, s.n)
-	}
 	s.ev = ev
 	// Seed cycle 1: every flow with data at rest (leaf reduce streams;
 	// broadcast roots under OpBroadcast) wakes its link, and the root
@@ -194,7 +184,7 @@ func (s *sim) initEvent() {
 
 // senderReadyFast is senderReady computed from the incremental minima —
 // O(1) instead of an O(degree) child scan. The two must agree exactly;
-// the differential harness compares engines end to end, and the census
+// the differential harness compares the loops end to end, and the census
 // maintenance sites (deliverLinkEv, arbitrateLinkEv) are the only
 // writers.
 func (s *sim) senderReadyFast(f *flow) int {
@@ -248,37 +238,13 @@ func (ev *evState) wheelAdd(due int, id int32) {
 	ev.wheelDue[slot] = due
 }
 
-// engineUsedEv reads router v's engine budget for this cycle under the
-// stamp discipline; engineUseEv charges one slot. Only called when
-// EngineRate > 0 (matching the cycle loop, whose counters are unread
-// otherwise).
-func (s *sim) engineUsedEv(v, now int) int {
-	if s.ev.engineStamp[v] != now {
-		return 0
-	}
-	return s.engineUsed[v]
-}
-
-func (s *sim) engineUseEv(v, now int) {
-	if s.ev.engineStamp[v] != now {
-		s.ev.engineStamp[v] = now
-		s.engineUsed[v] = 0
-	}
-	s.engineUsed[v]++
-}
-
 // nextEventCycle returns the next cycle that must be processed after
-// `now`. Fault-plan runs advance one cycle at a time (window edges,
-// detection deadlines and token refills are per-cycle phenomena);
-// otherwise the horizon is the earliest of: pending next-cycle work
-// (arbitration wakes, credit retirements, root-engine budget), the
-// earliest scheduled pipeline arrival, the next telemetry boundary, and
-// the progress-timeout deadline — the cycle at which the reference loop
-// would abort, so the diagnostic fires at the identical cycle.
+// `now`: the earliest of pending next-cycle work (arbitration wakes,
+// credit retirements, root engine budget), the earliest scheduled
+// pipeline arrival, the next telemetry boundary, and the progress-timeout
+// deadline — the cycle at which the reference loop would abort, so the
+// diagnostic fires at the identical cycle.
 func (s *sim) nextEventCycle(now, lastProgress int, nxt *linkSet) int {
-	if s.faultsOn {
-		return now + 1
-	}
 	ev := s.ev
 	if ev.rootNext || nxt.n > 0 || ev.nNext > 0 {
 		return now + 1
@@ -324,11 +290,6 @@ func (s *sim) eventLoop() (int, error) {
 		ev.nNow, ev.nNext = ev.nNext, 0
 		ev.rootNext = false
 
-		// 0. Fault plan transitions (fault runs process every cycle).
-		if s.faultsOn {
-			s.applyFaults(now)
-		}
-
 		// 1. Deliver flits due this cycle, from the wheel slot.
 		slot := now % len(ev.wheel)
 		if ws := &ev.wheel[slot]; ws.n > 0 && ev.wheelDue[slot] == now {
@@ -337,20 +298,6 @@ func (s *sim) eventLoop() (int, error) {
 				if s.deliverLinkEv(s.links[ev.scratch[i]], now, cur) {
 					progressed = true
 				}
-			}
-		}
-
-		// 1b. Loss detection and recovery; re-issued streams and purged
-		//     buffers invalidate the wake schedule, so recovery rewakes
-		//     every populated link.
-		if s.faultsOn && !s.cfg.DisableRecovery {
-			recovered, err := s.detectAndRecover(now)
-			if err != nil {
-				return 0, err
-			}
-			if recovered {
-				progressed = true
-				s.rewakeEv(cur)
 			}
 		}
 
@@ -371,19 +318,7 @@ func (s *sim) eventLoop() (int, error) {
 		}
 		ev.nNow = 0
 
-		// 4. Link arbitration over the woken set, ascending link id. The
-		//    degraded token buckets refill for every link first, as the
-		//    cycle loop does at the top of each link's scan.
-		if s.faultsOn {
-			for _, l := range s.links {
-				if l.degraded {
-					l.degBudget += l.degRate
-					if burst := maxf(1, l.degRate); l.degBudget > burst {
-						l.degBudget = burst
-					}
-				}
-			}
-		}
+		// 4. Link arbitration over the woken set, ascending link id.
 		cnt := cur.drainTo(ev.scratch)
 		for i := 0; i < cnt; i++ {
 			if s.arbitrateLinkEv(s.links[ev.scratch[i]], now, linkBW, nxt) {
@@ -440,13 +375,6 @@ func (s *sim) deliverLinkEv(l *link, now int, cur *linkSet) bool {
 		fl := l.pipeline[l.pipeHead]
 		l.pipeHead++
 		f := fl.f
-		if f.lost {
-			s.result.DroppedFlits++
-			l.dropped++
-			s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,
-				From: f.from, To: f.to, Flit: -1, Value: fl.val, Job: f.j.idx})
-			continue
-		}
 		f.push(fl.val)
 		l.curBuf++
 		ev.bufTotal++
@@ -468,9 +396,6 @@ func (s *sim) deliverLinkEv(l *link, now int, cur *linkSet) bool {
 				}
 				nt.redMinCnt = c
 			}
-		}
-		if s.faultsOn && f.sentAtLen() > 0 {
-			f.popSentAt()
 		}
 		if s.traced {
 			s.emit(TraceEvent{Cycle: now, Kind: TraceArrive, Tree: f.tree, Phase: f.phase,
@@ -520,16 +445,10 @@ func (s *sim) rootComputeEv(now int, cur *linkSet) {
 			continue
 		}
 		root := s.spec.Forest[j.tree].Root
-		if s.faultsOn && s.stalled[root] {
-			continue // faulted runs process every cycle; no wake needed
-		}
 		nt := &j.nodes[root]
 		mt := j.m
 		for slot := 0; slot < perJob; slot++ {
 			if nt.rootComputed >= mt {
-				break
-			}
-			if s.cfg.EngineRate > 0 && s.engineUsedEv(root, now) >= s.cfg.EngineRate {
 				break
 			}
 			k := nt.rootComputed
@@ -548,9 +467,6 @@ func (s *sim) rootComputeEv(now int, cur *linkSet) {
 			nt.delivered++
 			if s.sampling {
 				s.delivered++
-			}
-			if s.cfg.EngineRate > 0 {
-				s.engineUseEv(root, now)
 			}
 			s.pending--
 			j.remaining--
@@ -581,12 +497,6 @@ func (s *sim) consumeFlowEv(f *flow, cur *linkSet) {
 	if f.consumed >= f.m {
 		return
 	}
-	if s.faultsOn && f.j.dead {
-		// A recovery purge already released this stream's buffered flits
-		// and removed it from its link; the queued reference must not
-		// release them twice.
-		return
-	}
 	nt := f.rcv
 	var c int
 	if f.phase == phaseReduce {
@@ -615,21 +525,18 @@ func (s *sim) consumeFlowEv(f *flow, cur *linkSet) {
 }
 
 // arbitrateLinkEv is the cycle loop's arbitration scan for one link (same
-// round-robin restart discipline, same stall/engine/fault gates), plus
-// the wake consequences of each send: the scheduled arrival enters the
-// wheel, and the sender's own receive buffers may retire next cycle. The
-// closing data-present scan re-arms the link for the next cycle whenever
-// any stream still has data to move — this single rule is what keeps
-// stalled, metered and rate-limited streams scanned (and their stall
-// telemetry counted) every cycle, exactly like the reference loop.
+// round-robin restart discipline, same credit-stall gate), plus the wake
+// consequences of each send: the scheduled arrival enters the wheel, and
+// the sender's own receive buffers may retire next cycle. The closing
+// data-present scan re-arms the link for the next cycle whenever any
+// stream still has data to move — this single rule is what keeps
+// credit-stalled streams scanned (and their stall telemetry counted)
+// every cycle, exactly like the reference loop.
 func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
 	ev := s.ev
 	nf := len(l.flows)
 	sentThisCycle := 0
 	for i := 0; i < nf && sentThisCycle < linkBW; i++ {
-		if l.degraded && l.degBudget < 1 {
-			break // metered out this cycle
-		}
 		f := l.flows[(l.rr+i)%nf]
 		if f.sent >= f.m {
 			continue // stream finished
@@ -640,18 +547,6 @@ func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
 		if f.sent-f.consumed >= s.cfg.VCDepth {
 			s.noteStall(l, f, now)
 			continue // no credit
-		}
-		if f.phase == phaseReduce && s.faultsOn && s.stalled[f.from] &&
-			len(f.snd.redIn) > 0 {
-			continue // combining engine frozen by an engine-stall fault
-		}
-		if f.phase == phaseReduce && s.cfg.EngineRate > 0 {
-			if len(f.snd.redIn) > 0 {
-				if s.engineUsedEv(f.from, now) >= s.cfg.EngineRate {
-					continue
-				}
-				s.engineUseEv(f.from, now)
-			}
 		}
 		val := s.flitValue(f, f.sent)
 		k := f.sent
@@ -673,9 +568,6 @@ func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
 				}
 			}
 		}
-		if s.faultsOn {
-			f.pushSentAt(now, s.cfg.VCDepth)
-		}
 		s.result.FlitsSent++
 		if s.sampling && f.phase == phaseReduce {
 			s.reduceFlits++
@@ -684,25 +576,14 @@ func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
 			s.emit(TraceEvent{Cycle: now, Kind: TraceSend, Tree: f.tree, Phase: f.phase,
 				From: f.from, To: f.to, Flit: k, Value: val, Job: f.j.idx})
 		}
-		if l.failed {
-			f.lost = true
-			s.result.DroppedFlits++
-			l.dropped++
-			s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,
-				From: f.from, To: f.to, Flit: k, Value: val, Job: f.j.idx})
-		} else {
-			l.pipePush(inflight{f: f, val: val, arrive: now + s.cfg.LinkLatency})
-			ev.wheelAdd(now+s.cfg.LinkLatency, l.id)
-		}
+		l.pipePush(inflight{f: f, val: val, arrive: now + s.cfg.LinkLatency})
+		ev.wheelAdd(now+s.cfg.LinkLatency, l.id)
 		if f.phase == phaseReduce {
 			for _, cf := range f.snd.redIn {
 				s.addConsumeNext(cf, now)
 			}
 		} else if f.snd.bcastIn != nil {
 			s.addConsumeNext(f.snd.bcastIn, now)
-		}
-		if l.degraded {
-			l.degBudget--
 		}
 		l.rr = (l.rr + i + 1) % nf
 		sentThisCycle++
@@ -722,31 +603,4 @@ func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
 		}
 	}
 	return sentThisCycle > 0
-}
-
-// rewakeEv re-arms the schedule after a recovery round: purges and
-// re-issues move data between streams wholesale, so every populated link
-// goes back into this cycle's arbitration set (the cycle loop arbitrates
-// re-issued streams in their creation cycle) and the root engines are
-// rescanned. Re-issues can also push the live-flow census past the
-// retirement lists' capacity; both lists grow here, preserving queued
-// entries. Cold: only reachable on fault-plan runs.
-func (s *sim) rewakeEv(cur *linkSet) {
-	ev := s.ev
-	nf := 0
-	for _, l := range s.links {
-		if len(l.flows) > 0 {
-			cur.add(l.id)
-		}
-		nf += len(l.flows)
-	}
-	if nf > len(ev.conNow) {
-		grown := make([]*flow, nf)
-		copy(grown, ev.conNow[:ev.nNow])
-		ev.conNow = grown
-		grown = make([]*flow, nf)
-		copy(grown, ev.conNext[:ev.nNext])
-		ev.conNext = grown
-	}
-	ev.rootNext = true
 }

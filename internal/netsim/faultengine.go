@@ -379,10 +379,6 @@ func (s *sim) detectAndRecover(now int) (bool, error) {
 			if !f.j.dead {
 				kept = append(kept, f)
 			} else {
-				if s.ev != nil && f.bufLen() > 0 {
-					s.ev.bufTotal -= f.bufLen()
-					s.ev.occ.add(l.id)
-				}
 				l.curBuf -= f.bufLen()
 			}
 		}

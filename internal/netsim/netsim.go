@@ -92,48 +92,6 @@ type Config struct {
 	// frame and its Links slice are reused between calls; the hook must
 	// copy anything it retains. Requires SampleEvery ≥ 1. lint:cold
 	Sample func(*SampleFrame)
-	// Engine selects the advance strategy. EngineCycle (the zero value) is
-	// the reference loop that executes every simulated cycle; EngineEvent
-	// skips cycles in which no link can act, producing byte-identical
-	// results, traces and telemetry frames (see DESIGN.md §7h).
-	Engine Engine
-}
-
-// Engine selects how the simulator advances time.
-type Engine int
-
-const (
-	// EngineCycle executes every simulated cycle in turn — the reference
-	// semantics all other engines must reproduce exactly.
-	EngineCycle Engine = iota
-	// EngineEvent advances directly to the next cycle at which anything can
-	// change (earliest pipeline arrival, pending credit return, root-engine
-	// slot, sample boundary, progress-timeout deadline), processing only the
-	// links woken for that cycle. Results are byte-identical to EngineCycle;
-	// fault-plan runs fall back to per-cycle processing so fault windows and
-	// detection deadlines are honoured exactly.
-	EngineEvent
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineCycle:
-		return "cycle"
-	case EngineEvent:
-		return "event"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// ParseEngine maps the CLI spelling to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "cycle":
-		return EngineCycle, nil
-	case "event":
-		return EngineEvent, nil
-	}
-	return 0, fmt.Errorf("netsim: unknown engine %q (want cycle or event)", s)
 }
 
 // DefaultProgressTimeout is the deadlock-diagnostic threshold applied by
@@ -198,9 +156,6 @@ func (c *Config) validate() error {
 		if err := c.Faults.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.Engine != EngineCycle && c.Engine != EngineEvent {
-		return fmt.Errorf("netsim: unknown Engine %d", int(c.Engine))
 	}
 	return nil
 }
@@ -276,10 +231,9 @@ type Result struct {
 	// loop already touches.
 	LinkStats []LinkStat
 	// Arena is the simulator's construction-time memory footprint (see
-	// ArenaFootprint). Every component is derived from the spec, so it is
-	// identical across engines — except Arena.EventBytes (and the
-	// TotalBytes it contributes to), which sizes machinery only the event
-	// engine allocates.
+	// ArenaFootprint). Every component is derived from (Spec, Config);
+	// Arena.EventBytes is non-zero exactly when the run was latency-bound
+	// enough for newSim to select the event loop.
 	Arena ArenaFootprint
 	// DroppedFlits counts flits destroyed by link faults: in-flight flits
 	// purged at fault activation, injections swallowed by a failed link,
@@ -389,7 +343,7 @@ type flow struct {
 	rcv *nodeTree
 
 	// ln is the directed link carrying this stream, resolved at stream
-	// construction so the event engine can wake a flow's link without a
+	// construction so the event loop can wake a flow's link without a
 	// topology lookup.
 	ln *link
 
@@ -403,8 +357,8 @@ type flow struct {
 	stallCycle int
 
 	// consumeMark is the cycle this flow was last queued for a retirement
-	// check by the event engine (deduplicates the consume work lists; the
-	// cycle engine never reads it).
+	// check by the event loop (deduplicates the consume work lists; the
+	// cycle loop never reads it).
 	consumeMark int
 
 	// buf holds values for flits [bufBase, bufBase+bufLen()) at positions
@@ -491,7 +445,7 @@ type inflight struct {
 // link is one directed physical link with its VCs and arbitration state.
 type link struct {
 	from, to int
-	id       int32 // index in sim.links, assigned at freeze (event-engine wake sets)
+	id       int32 // index in sim.links, assigned at freeze (event-loop wake sets)
 	flows    []*flow
 	rr       int // round-robin pointer
 
@@ -580,7 +534,7 @@ type nodeTree struct {
 	delivered int
 	target    int // flits this node must deliver for its job to finish
 
-	// Incremental minima maintained by the event engine only (the cycle
+	// Incremental minima maintained by the event loop only (the cycle
 	// loop recomputes these scans in place and never reads them):
 	// redMin/redMinCnt track min and count-at-min over redIn[].arrived;
 	// bcastMin/bcastMinCnt track the same over bcastOut[].sent. Each

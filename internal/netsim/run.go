@@ -9,15 +9,59 @@ import (
 // value-verified outputs. It validates the spec first: every tree must be a
 // spanning tree of the topology, the split must match the input length, and
 // all nodes must provide equal-length inputs.
+//
+// The advance loop is chosen from the run's shape (see eventLoopFits),
+// never by the caller: both loops produce byte-identical results, traces
+// and telemetry, and differ only in host time and Result.Arena.EventBytes.
 func Run(spec Spec, cfg Config) (*Result, error) {
+	return runWith(spec, cfg, pickLoop)
+}
+
+// runWith is Run on a given loop choice; tests force a loop through it.
+func runWith(spec Spec, cfg Config, choice loopChoice) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s, err := newSim(spec, cfg)
+	s, err := newSim(spec, cfg, choice)
 	if err != nil {
 		return nil, err
 	}
 	return s.run()
+}
+
+// loopChoice tells newSim which advance loop to prepare. Run always
+// passes pickLoop; tests and benchmarks force a loop to compare or time
+// it, and never force the event loop onto a fault plan or an EngineRate
+// cap, which it does not implement.
+type loopChoice int
+
+const (
+	pickLoop   loopChoice = iota // eventLoopFits decides
+	forceCycle                   // the reference per-cycle loop
+	forceEvent                   // the cycle-skipping event loop
+)
+
+// eventLoopFits reports whether a run is latency-bound enough for the
+// event loop to pay for its wake bookkeeping: it must be fault-free, have
+// no EngineRate cap (the event loop carries no code for either), and its
+// pipeline fill must dominate streaming — LinkLatency × the deepest
+// tree's depth exceeds the longest per-tree stream. Bandwidth-bound runs
+// keep most links busy every cycle, where the cycle loop's flat scan is
+// cheaper (DESIGN.md §7h has the measurements). spec must already be
+// validated.
+func eventLoopFits(spec Spec, cfg Config) bool {
+	if cfg.Faults != nil || cfg.EngineRate > 0 {
+		return false
+	}
+	depth := 0
+	for _, t := range spec.Forest {
+		depth = max(depth, t.MaxDepth())
+	}
+	longest := 0
+	for _, m := range spec.Split {
+		longest = max(longest, m)
+	}
+	return cfg.LinkLatency*depth > longest
 }
 
 type sim struct {
@@ -43,8 +87,9 @@ type sim struct {
 	jobs     []*job // initial jobs (one per tree) + recovery re-issues
 	pending  int    // flit deliveries still outstanding (all jobs, all nodes)
 
-	// ev is the event-engine state (wake sets, timing wheel, retirement
-	// queues); nil under EngineCycle.
+	// ev is the event-loop state (wake sets, timing wheel, retirement
+	// queues); nil when newSim selected the cycle loop, and run dispatches
+	// on it.
 	ev *evState
 
 	// traced is cfg.Trace != nil, hoisted so hot-loop emit sites skip
@@ -76,7 +121,7 @@ type sim struct {
 	// cycle, compared against cfg.EngineRate when it is non-zero.
 	engineUsed []int
 
-	// Fault-engine state; zero-valued and untouched on fault-free runs.
+	// Fault injection state; zero-valued and untouched on fault-free runs.
 	// lint:cold
 	faultsOn    bool
 	faultActive []bool          // per plan fault: currently in its window
@@ -106,7 +151,7 @@ func (s *sim) linkAt(from, to int) *link {
 	return nil
 }
 
-func newSim(spec Spec, cfg Config) (*sim, error) {
+func newSim(spec Spec, cfg Config, choice loopChoice) (*sim, error) {
 	g := spec.Topology
 	if g == nil {
 		return nil, fmt.Errorf("netsim: nil topology")
@@ -221,7 +266,7 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 	}
 	s.frozen = true
 	s.initSampling()
-	if cfg.Engine == EngineEvent {
+	if choice == forceEvent || choice == pickLoop && eventLoopFits(spec, cfg) {
 		s.initEvent()
 	}
 	return s, nil
@@ -305,7 +350,7 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 				pt.bcastOut = append(pt.bcastOut, nt.bcastIn)
 			}
 		} else {
-			// The root's reduction-engine output is the root's result row:
+			// The root's reduction engine output is the root's result row:
 			// both were always written with identical values at identical
 			// times, so they share the outputs storage (and recovery
 			// re-issues reuse it instead of allocating fresh scratch).
@@ -330,10 +375,10 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 		s.pending += nt.target - nt.delivered
 		j.remaining += nt.target - nt.delivered
 	}
-	// Seed the event engine's incremental minima (see nodeTree): every
+	// Seed the event loop's incremental minima (see nodeTree): every
 	// in-stream starts at arrived == 0 and every out-stream at sent == 0,
 	// so the census is len at minimum 0; empty sets take the sentinel the
-	// fast paths expect. Harmless under EngineCycle, which never reads
+	// fast paths expect. Harmless on the cycle loop, which never reads
 	// these fields, and recovery re-issues pass through here too.
 	for v := 0; v < s.n; v++ {
 		nt := &j.nodes[v]
@@ -533,7 +578,7 @@ func (s *sim) checkJobDone(j *job, now int) {
 func (s *sim) run() (*Result, error) {
 	var now int
 	var err error
-	if s.cfg.Engine == EngineEvent {
+	if s.ev != nil {
 		now, err = s.eventLoop()
 	} else {
 		now, err = s.cycleLoop()

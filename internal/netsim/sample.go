@@ -43,7 +43,7 @@ type RunCounters struct {
 	// ReduceFlits and BcastFlits split FlitsSent by phase.
 	ReduceFlits int
 	BcastFlits  int
-	// Delivered counts completed target deliveries: root-engine outputs
+	// Delivered counts completed target deliveries: outputs of the root engines
 	// plus broadcast arrivals. A fault-free OpAllreduce run ends with
 	// N·m delivered.
 	Delivered int

@@ -39,9 +39,6 @@ type CritPathConfig struct {
 	// the returned points identical either way; the field is excluded
 	// from snapshots so CRITPATH_*.json stays byte-identical.
 	Parallel int `json:"-"`
-	// Engine selects the netsim advance strategy; engines are
-	// byte-identical, so it is excluded from snapshots.
-	Engine netsim.Engine `json:"-"`
 }
 
 // DefaultCritPathConfig matches the scorecard calibration (latency-1
@@ -173,7 +170,7 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 	pt := CritPathPoint{
 		Q: job.q, Embedding: job.kind.String(), Trees: len(e.Forest), M: cfg.M,
 	}
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Engine: cfg.Engine}
+	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth}
 	survivors := true
 	if job.faulted {
 		link, deg, err := core.WorstCaseLink(e)

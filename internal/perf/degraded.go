@@ -40,9 +40,6 @@ type DegradedConfig struct {
 	// the returned points identical either way; the field is excluded
 	// from snapshots so BENCH_*.json stays byte-identical across runners.
 	Parallel int `json:"-"`
-	// Engine selects the netsim advance strategy; engines are
-	// byte-identical, so it is excluded from snapshots.
-	Engine netsim.Engine `json:"-"`
 }
 
 // DefaultDegradedConfig is calibrated like DefaultScorecardConfig:
@@ -139,7 +136,7 @@ func degradedPoint(cfg DegradedConfig, kind core.EmbeddingKind) (DegradedPoint, 
 	plan := &faults.Plan{Faults: []faults.Fault{
 		{Kind: faults.LinkDown, U: link[0], V: link[1], At: cfg.FailAt},
 	}}
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Faults: plan, Engine: cfg.Engine}
+	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Faults: plan}
 	pt := DegradedPoint{
 		Q: cfg.Q, Embedding: kind.String(), Trees: len(e.Forest),
 		M: cfg.M, FailedLink: link, FailAt: cfg.FailAt,

@@ -3,6 +3,7 @@ package perf
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"polarfly/internal/bandwidth"
 	"polarfly/internal/core"
@@ -36,11 +37,6 @@ type ScorecardConfig struct {
 	// either way, so the value never changes the output — it is excluded
 	// from snapshots so BENCH_*.json stays byte-identical across runners.
 	Parallel int `json:"-"`
-	// Engine selects the netsim advance strategy (cycle-accurate loop or
-	// the event-driven cycle-skipping engine). The engines are
-	// differentially tested byte-identical, so the choice never changes a
-	// point and is excluded from snapshots.
-	Engine netsim.Engine `json:"-"`
 }
 
 // DefaultScorecardConfig is calibrated so every point lands well inside
@@ -169,13 +165,19 @@ func scorePoint(cfg ScorecardConfig, q int, kind core.EmbeddingKind) (ScorePoint
 	if err != nil {
 		return ScorePoint{}, err
 	}
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Engine: cfg.Engine}
+	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth}
 	col := obsv.NewCollector()
 	col.DisableSpans = true // Metrics-only; Chrome spans are O(flits) at q=31 scale
 	col.Attach(&runCfg)
 	res, err := inst.Allreduce(e, inputs, runCfg)
 	if err != nil {
 		return ScorePoint{}, fmt.Errorf("perf: q=%d %v: %w", q, kind, err)
+	}
+	want := netsim.ExpectedOutput(inputs)
+	for v, out := range res.Outputs {
+		if !slices.Equal(out, want) {
+			return ScorePoint{}, fmt.Errorf("perf: q=%d %v: node %d output differs from the reference sum", q, kind, v)
+		}
 	}
 	col.SetCycles(res.Cycles)
 	reg := obsv.NewRegistry()

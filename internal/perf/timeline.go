@@ -50,9 +50,6 @@ type TimelineConfig struct {
 	// Parallel is the parrun pool size; excluded from snapshots because
 	// the ordered commit makes output independent of it.
 	Parallel int `json:"-"`
-	// Engine selects the netsim advance strategy; engines are
-	// byte-identical, so it is excluded from snapshots.
-	Engine netsim.Engine `json:"-"`
 }
 
 // DefaultTimelineConfig mirrors the scorecard calibration: latency-1
@@ -126,7 +123,7 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 		Predicted: core.ModelLinkLoads(e),
 	})
 	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth,
-		SampleEvery: cfg.SampleEvery, Sample: sampler.Sample, Engine: cfg.Engine}
+		SampleEvery: cfg.SampleEvery, Sample: sampler.Sample}
 	var col *obsv.Collector
 	if faulted {
 		var u, v int
