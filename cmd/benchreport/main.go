@@ -130,20 +130,16 @@ func cmdHotcheck(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: benchreport hotcheck [-bench prefix] [-max f] [-root dir] BENCH.json")
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 
 	// Static half: hotalloc over the whole module must be clean.
 	pkgs, err := analysis.LoadModule(*root)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	var allow []analysis.AllowRule
 	if data, err := os.ReadFile(filepath.Join(*root, "repolint.allow")); err == nil {
 		if allow, err = analysis.ParseAllowFile(string(data)); err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 	}
 	diags := analysis.Run(pkgs, []*analysis.Analyzer{analysis.HotAlloc}, allow)
@@ -157,12 +153,12 @@ func cmdHotcheck(args []string, stdout, stderr io.Writer) int {
 	// Measured half: the hot-loop benchmarks must corroborate the proof.
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	defer func() { _ = f.Close() }()
 	snap, err := perf.DecodeSnapshot(f)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	var results []perf.HotCheckResult
 	for _, prefix := range strings.Split(*benchPrefix, ",") {
@@ -171,7 +167,7 @@ func cmdHotcheck(args []string, stdout, stderr io.Writer) int {
 		}
 		rs, err := perf.HotAllocCrossCheck(snap, prefix, *maxAllocs)
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		results = append(results, rs...)
 	}
@@ -211,20 +207,50 @@ func sanitizeLabel(label string) string {
 	return b.String()
 }
 
-func snapshotPath(dir, label string) string {
-	return filepath.Join(dir, "BENCH_"+sanitizeLabel(label)+".json")
+// snapshotPath is dir/<prefix>_<label>.json with the label sanitized.
+func snapshotPath(dir, prefix, label string) string {
+	return filepath.Join(dir, prefix+"_"+sanitizeLabel(label)+".json")
 }
 
-func writeSnapshot(path string, s *perf.Snapshot) error {
+// fail reports a runtime error on stderr and returns exit code 1.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "benchreport:", err)
+	return 1
+}
+
+// gateExit prints one FAIL line per gate violation and returns the exit
+// code: 1 when there is any violation, else 0.
+func gateExit(stderr io.Writer, fails []string) int {
+	for _, f := range fails {
+		fmt.Fprintln(stderr, "benchreport: FAIL:", f)
+	}
+	if len(fails) > 0 {
+		return 1
+	}
+	return 0
+}
+
+// emit is the common tail of the snapshot-writing commands: write art's
+// JSON to path, render the markdown report on stdout, note the file on
+// stderr as "wrote <path> (<summary>)", and exit through gateExit.
+func emit(stdout, stderr io.Writer, path string, art interface{ WriteJSON(io.Writer) error },
+	markdown func(io.Writer) error, summary string, fails []string) int {
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return fail(stderr, err)
 	}
-	if err := s.WriteJSON(f); err != nil {
+	if err := art.WriteJSON(f); err != nil {
 		_ = f.Close()
-		return err
+		return fail(stderr, err)
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return fail(stderr, err)
+	}
+	if err := markdown(stdout); err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprintf(stderr, "benchreport: wrote %s (%s)\n", path, summary)
+	return gateExit(stderr, fails)
 }
 
 func cmdRun(args []string, stdout, stderr io.Writer) int {
@@ -240,10 +266,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 
 	var raw io.Reader
 	benchFailed := false
@@ -253,7 +275,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	case *in != "":
 		f, err := os.Open(*in)
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		defer func() { _ = f.Close() }()
 		raw = f
@@ -284,7 +306,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 			// go test exits 1 when a benchmark fails; the output still
 			// parses, so record the failure instead of bailing.
 			if _, ok := err.(*exec.ExitError); !ok {
-				return fail(err)
+				return fail(stderr, err)
 			}
 			benchFailed = true
 		}
@@ -293,7 +315,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 
 	parsed, err := perf.ParseBench(raw)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	snap := &perf.Snapshot{
 		Schema:     perf.SnapshotSchema,
@@ -304,14 +326,11 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		Failed:     append(parsed.Failed, parsed.FailedPackages...),
 		Benchmarks: perf.Summarize(parsed.Results),
 	}
-	path := snapshotPath(*outDir, *label)
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
+	markdown := func(w io.Writer) error { return perf.WriteBenchMarkdown(w, snap) }
+	if code := emit(stdout, stderr, snapshotPath(*outDir, "BENCH", *label), snap, markdown,
+		fmt.Sprintf("%d benchmarks", len(snap.Benchmarks)), nil); code != 0 {
+		return code
 	}
-	if err := perf.WriteBenchMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d benchmarks)\n", path, len(snap.Benchmarks))
 	if benchFailed || !parsed.OK() {
 		fmt.Fprintf(stderr, "benchreport: run had failures: %s\n", strings.Join(snap.Failed, ", "))
 		return 1
@@ -334,10 +353,6 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: benchreport compare [-threshold f] OLD.json NEW.json")
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 	load := func(path string) (*perf.Snapshot, error) {
 		f, err := os.Open(path)
 		if err != nil {
@@ -348,15 +363,15 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	}
 	oldSnap, err := load(fs.Arg(0))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	newSnap, err := load(fs.Arg(1))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	cmp := perf.Compare(oldSnap, newSnap, *threshold)
 	if err := perf.WriteCompareMarkdown(stdout, cmp); err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	if !cmp.OK() {
 		fmt.Fprintf(stderr, "benchreport: %d gating regression(s) beyond %.0f%%\n",
@@ -385,10 +400,6 @@ func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 	qs, err := parseInts(*qList)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchreport: -q:", err)
@@ -403,7 +414,7 @@ func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 	}
 	points, err := perf.Scorecard(cfg)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	snap := &perf.Snapshot{
 		Schema:          perf.SnapshotSchema,
@@ -413,21 +424,9 @@ func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 		Scorecard:       points,
 		ScorecardConfig: &cfg,
 	}
-	path := snapshotPath(*outDir, *label)
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
-	}
-	if err := perf.WriteScorecardMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d design points)\n", path, len(points))
-	if fails := perf.ScorecardFailures(points, cfg.Tolerance); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	markdown := func(w io.Writer) error { return perf.WriteScorecardMarkdown(w, snap) }
+	return emit(stdout, stderr, snapshotPath(*outDir, "BENCH", *label), snap, markdown,
+		fmt.Sprintf("%d design points", len(points)), perf.ScorecardFailures(points, cfg.Tolerance))
 }
 
 // cmdScorecardDegraded runs the fault-injection sweep for every listed q:
@@ -436,10 +435,6 @@ func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 // post-recovery bandwidth landing within tolerance of core.Degrade.
 func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed int64, tol float64,
 	label, outDir string, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 	// Each q's fault sweep is independent; run them on a parrun pool and
 	// flatten in input order so the snapshot matches the serial loop
 	// byte for byte. DegradedScorecard fans out across embeddings with
@@ -455,7 +450,7 @@ func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed i
 		return perf.DegradedScorecard(cfgs[i])
 	})
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	var points []perf.DegradedPoint
 	for _, pts := range perQ {
@@ -473,21 +468,9 @@ func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed i
 		Degraded:       points,
 		DegradedConfig: &lastCfg,
 	}
-	path := snapshotPath(outDir, label)
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
-	}
-	if err := perf.WriteDegradedMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d fault-injected points)\n", path, len(points))
-	if fails := perf.DegradedFailures(points); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	markdown := func(w io.Writer) error { return perf.WriteDegradedMarkdown(w, snap) }
+	return emit(stdout, stderr, snapshotPath(outDir, "BENCH", label), snap, markdown,
+		fmt.Sprintf("%d fault-injected points", len(points)), perf.DegradedFailures(points))
 }
 
 // cmdTimeline runs the streaming-telemetry sweep: one sampled simulation
@@ -516,10 +499,6 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 	cfg := perf.TimelineConfig{
 		Q: *q, M: *m, LinkLatency: *latency, VCDepth: *vc,
 		SampleEvery: *sampleEvery, Windows: *windows, Levels: *levels, Factor: *factor,
@@ -528,7 +507,7 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 	}
 	runs, err := perf.Timeline(cfg)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	snap := &perf.Snapshot{
 		Schema:         perf.SnapshotSchema,
@@ -538,21 +517,9 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 		Timeline:       runs,
 		TimelineConfig: &cfg,
 	}
-	path := filepath.Join(*outDir, "TIMELINE_"+sanitizeLabel(*label)+".json")
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
-	}
-	if err := perf.WriteTimelineMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d embeddings)\n", path, len(runs))
-	if fails := perf.TimelineFailures(runs, cfg); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	markdown := func(w io.Writer) error { return perf.WriteTimelineMarkdown(w, snap) }
+	return emit(stdout, stderr, snapshotPath(*outDir, "TIMELINE", *label), snap, markdown,
+		fmt.Sprintf("%d embeddings", len(runs)), perf.TimelineFailures(runs, cfg))
 }
 
 // cmdCritPath runs the causal critical-path sweep: every embedding of
@@ -561,7 +528,7 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 // non-zero exit when any run violates the conservation contract (blame
 // not summing exactly to the cycle count, unattributed residue, a
 // fault-free run not dominated by serialization, or recovery blame
-// disagreeing with the collector's measured latency).
+// disagreeing with the simulator's measured latency).
 func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 	def := perf.DefaultCritPathConfig()
 	fs := flag.NewFlagSet("benchreport critpath", flag.ContinueOnError)
@@ -578,10 +545,6 @@ func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 	qs, err := parseInts(*qList)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchreport: -q:", err)
@@ -593,7 +556,7 @@ func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 	}
 	points, err := perf.CritPath(cfg)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	snap := &perf.Snapshot{
 		Schema:         perf.SnapshotSchema,
@@ -603,21 +566,9 @@ func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 		CritPath:       points,
 		CritPathConfig: &cfg,
 	}
-	path := filepath.Join(*outDir, "CRITPATH_"+sanitizeLabel(*label)+".json")
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
-	}
-	if err := perf.WriteCritPathMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d design points)\n", path, len(points))
-	if fails := perf.CritPathFailures(points); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	markdown := func(w io.Writer) error { return perf.WriteCritPathMarkdown(w, snap) }
+	return emit(stdout, stderr, snapshotPath(*outDir, "CRITPATH", *label), snap, markdown,
+		fmt.Sprintf("%d design points", len(points)), perf.CritPathFailures(points))
 }
 
 // cmdCampaign runs the seeded chaos campaign: thousands of randomized
@@ -645,10 +596,6 @@ func cmdCampaign(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 	qs, err := parseInts(*qList)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchreport: -q:", err)
@@ -672,36 +619,16 @@ func cmdCampaign(args []string, stdout, stderr io.Writer) int {
 	cfg.Parallel = *parallel
 	rep, err := chaos.Campaign(cfg)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	rep.Label = *label
-	path := filepath.Join(*outDir, "CAMPAIGN_"+sanitizeLabel(*label)+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return fail(err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	if err := chaos.WriteMarkdown(stdout, rep); err != nil {
-		return fail(err)
-	}
 	total := 0
 	for _, pt := range rep.Points {
 		total += pt.Runs
 	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d design points, %d runs)\n", path, len(rep.Points), total)
-	if fails := rep.Failures(); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	markdown := func(w io.Writer) error { return chaos.WriteMarkdown(w, rep) }
+	return emit(stdout, stderr, snapshotPath(*outDir, "CAMPAIGN", *label), rep, markdown,
+		fmt.Sprintf("%d design points, %d runs", len(rep.Points), total), rep.Failures())
 }
 
 // cmdOverhead loads a bench snapshot, pairs every XSampled benchmark with
@@ -717,34 +644,24 @@ func cmdOverhead(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: benchreport overhead [-max f] BENCH.json")
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	defer func() { _ = f.Close() }()
 	snap, err := perf.DecodeSnapshot(f)
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	pairs := perf.TelemetryOverhead(snap)
 	if err := perf.WriteOverheadMarkdown(stdout, pairs, *max); err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	if len(pairs) == 0 {
 		fmt.Fprintln(stderr, "benchreport: no base↔sampled benchmark pairs in the snapshot; run both packages into one snapshot (e.g. -pkg ./internal/netsim,./internal/tsdb)")
 		return 1
 	}
-	if fails := perf.OverheadFailures(pairs, *max); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	return gateExit(stderr, perf.OverheadFailures(pairs, *max))
 }
 
 func joinInts(xs []int) string {

@@ -198,6 +198,7 @@ type SimRow struct {
 	ModelBW       float64 // Algorithm 1 aggregate, elements/cycle
 	MeasuredBW    float64 // m / simulated cycles
 	Cycles        int
+	Trees         int // forest size
 	MaxDepth      int
 	MaxCongestion int
 	SpeedupVsOne  float64 // single-tree cycles / this embedding's cycles
@@ -210,6 +211,13 @@ type SimRow struct {
 	MaxLinkUtil      float64
 	ModelMaxLinkUtil float64
 	UtilRelErr       float64
+	// MaxLinkTrees is the most trees streaming over one directed link —
+	// the measured congestion Theorem 7.6 bounds by 2 on the low-depth
+	// forest and Theorem 7.19 pins at 1. SharedDirectedLinks counts the
+	// directed links carrying streams of two or more trees (zero on an
+	// edge-disjoint forest).
+	MaxLinkTrees        int
+	SharedDirectedLinks int
 	// ReduceCycles is the cycle the slowest tree's root finished
 	// reducing; BcastCycles is the remainder of the run. The split
 	// attributes measured-vs-model error to a phase.
@@ -311,10 +319,12 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 				}
 			}
 		}
-		maxUtil := 0.0
+		maxUtil, maxTrees, shared := 0.0, 0, 0
 		for _, ls := range res.LinkStats {
-			if ls.Utilization > maxUtil {
-				maxUtil = ls.Utilization
+			maxUtil = max(maxUtil, ls.Utilization)
+			maxTrees = max(maxTrees, ls.Trees)
+			if ls.Trees >= 2 {
+				shared++
 			}
 		}
 		reduceDone := 0
@@ -325,16 +335,19 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 		}
 		row := SimRow{
 			Q: q, M: m, Kind: kind,
-			ModelBW:          e.Model.Aggregate,
-			MeasuredBW:       float64(m) / float64(res.Cycles),
-			Cycles:           res.Cycles,
-			MaxDepth:         e.MaxDepth,
-			MaxCongestion:    e.Model.MaxCongestion,
-			MaxLinkUtil:      maxUtil,
-			ModelMaxLinkUtil: e.ModelMaxLinkLoad(),
-			ReduceCycles:     reduceDone,
-			BcastCycles:      res.Cycles - reduceDone,
-			Arena:            res.Arena,
+			ModelBW:             e.Model.Aggregate,
+			MeasuredBW:          float64(m) / float64(res.Cycles),
+			Cycles:              res.Cycles,
+			Trees:               len(e.Forest),
+			MaxDepth:            e.MaxDepth,
+			MaxCongestion:       e.Model.MaxCongestion,
+			MaxLinkUtil:         maxUtil,
+			ModelMaxLinkUtil:    e.ModelMaxLinkLoad(),
+			MaxLinkTrees:        maxTrees,
+			SharedDirectedLinks: shared,
+			ReduceCycles:        reduceDone,
+			BcastCycles:         res.Cycles - reduceDone,
+			Arena:               res.Arena,
 		}
 		if row.ModelMaxLinkUtil > 0 {
 			row.UtilRelErr = (row.MaxLinkUtil - row.ModelMaxLinkUtil) / row.ModelMaxLinkUtil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"polarfly/internal/core"
+	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
 	"polarfly/internal/obsv"
 	"polarfly/internal/workload"
@@ -112,44 +113,147 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 }
 
 // TestCollectorAgreesWithLinkStats cross-checks the trace-derived
-// telemetry against the simulator's own Result.LinkStats counters.
+// telemetry against the simulator's own counters. The perf scorecard and
+// critpath gates read link utilization, congestion, the reduce/broadcast
+// split and recovery latency straight from the simulator's result, so
+// the collector stays the independent oracle those counters answer to.
 func TestCollectorAgreesWithLinkStats(t *testing.T) {
-	spec, cfg := lineSpec(5, 32), netsim.Config{LinkLatency: 6, VCDepth: 2}
-	c := obsv.NewCollector()
-	c.Attach(&cfg)
-	res, err := netsim.Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// counters is the part of a run's result the gates read; netsim.Result
+	// and core.AllreduceResult both carry it.
+	type counters struct {
+		cycles     int
+		links      []netsim.LinkStat
+		reduceDone []int
+		recoveries []netsim.Recovery
 	}
-	c.SetCycles(res.Cycles)
-	rep := c.Report()
-	if len(rep.Links) != len(res.LinkStats) {
-		t.Fatalf("collector saw %d links, simulator reports %d", len(rep.Links), len(res.LinkStats))
+	// q3 runs one q=3 embedding on the scorecard's fabric shape. With
+	// failAt > 0 the embedding's worst-case link goes down at that cycle.
+	q3 := func(kind core.EmbeddingKind, failAt int) func(*testing.T, netsim.Config) counters {
+		return func(t *testing.T, cfg netsim.Config) counters {
+			inst, err := core.NewInstance(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := inst.Embed(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failAt > 0 {
+				link, _, err := core.WorstCaseLink(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Faults = &faults.Plan{Faults: []faults.Fault{
+					{Kind: faults.LinkDown, U: link[0], V: link[1], At: failAt},
+				}}
+			}
+			res, err := inst.Allreduce(e, workload.Vectors(inst.N(), 4096, 1000, core.DefaultSeed), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return counters{res.Cycles, res.LinkStats, res.TreeReduceDone, res.Recoveries}
+		}
 	}
-	for i, ls := range res.LinkStats {
-		lr := rep.Links[i]
-		if lr.From != ls.From || lr.To != ls.To {
-			t.Fatalf("link %d order mismatch: collector %d→%d vs sim %d→%d", i, lr.From, lr.To, ls.From, ls.To)
-		}
-		if lr.Flits != ls.Flits {
-			t.Errorf("link %d→%d: collector %d flits, sim %d", ls.From, ls.To, lr.Flits, ls.Flits)
-		}
-		if lr.BusyCycles != ls.BusyCycles {
-			t.Errorf("link %d→%d: collector %d busy cycles, sim %d", ls.From, ls.To, lr.BusyCycles, ls.BusyCycles)
-		}
-		if lr.StallCycles != ls.StallCycles {
-			t.Errorf("link %d→%d: collector %d stall cycles, sim %d", ls.From, ls.To, lr.StallCycles, ls.StallCycles)
-		}
-		if lr.PeakBufferFlits != ls.PeakBufferFlits {
-			t.Errorf("link %d→%d: collector peak buffer %d, sim %d", ls.From, ls.To, lr.PeakBufferFlits, ls.PeakBufferFlits)
-		}
-		if lr.Utilization != ls.Utilization {
-			t.Errorf("link %d→%d: collector utilization %g, sim %g", ls.From, ls.To, lr.Utilization, ls.Utilization)
-		}
+	scorecardShape := netsim.Config{LinkLatency: 1, VCDepth: 4}
+	cases := []struct {
+		name string
+		cfg  netsim.Config
+		// failAt is the LinkDown activation cycle, 0 on fault-free runs.
+		failAt int
+		// wantStalls: the tight VC window must produce stall runs.
+		wantStalls bool
+		run        func(*testing.T, netsim.Config) counters
+	}{
+		{
+			name: "line", cfg: netsim.Config{LinkLatency: 6, VCDepth: 2}, wantStalls: true,
+			run: func(t *testing.T, cfg netsim.Config) counters {
+				res, err := netsim.Run(lineSpec(5, 32), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return counters{res.Cycles, res.LinkStats, res.TreeReduceDone, res.Recoveries}
+			},
+		},
+		{name: "q=3/low-depth", cfg: scorecardShape, run: q3(core.LowDepth, 0)},
+		{name: "q=3/hamiltonian", cfg: scorecardShape, run: q3(core.Hamiltonian, 0)},
+		{name: "q=3/low-depth/worst-link-down", cfg: scorecardShape, failAt: 1000, run: q3(core.LowDepth, 1000)},
 	}
-	// The tight VC window must have produced stalls and a histogram.
-	if rep.StallRuns.Count == 0 {
-		t.Error("no stall runs recorded under VCDepth 2, latency 6")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			c := obsv.NewCollector()
+			c.Attach(&cfg)
+			res := tc.run(t, cfg)
+			c.SetCycles(res.cycles)
+			rep := c.Report()
+			if len(rep.Links) != len(res.links) {
+				t.Fatalf("collector saw %d links, simulator reports %d", len(rep.Links), len(res.links))
+			}
+			maxTrees, shared := 0, 0
+			for i, ls := range res.links {
+				lr := rep.Links[i]
+				if lr.From != ls.From || lr.To != ls.To {
+					t.Fatalf("link %d order mismatch: collector %d→%d vs sim %d→%d", i, lr.From, lr.To, ls.From, ls.To)
+				}
+				if lr.Flits != ls.Flits {
+					t.Errorf("link %d→%d: collector %d flits, sim %d", ls.From, ls.To, lr.Flits, ls.Flits)
+				}
+				if lr.BusyCycles != ls.BusyCycles {
+					t.Errorf("link %d→%d: collector %d busy cycles, sim %d", ls.From, ls.To, lr.BusyCycles, ls.BusyCycles)
+				}
+				if lr.StallCycles != ls.StallCycles {
+					t.Errorf("link %d→%d: collector %d stall cycles, sim %d", ls.From, ls.To, lr.StallCycles, ls.StallCycles)
+				}
+				if lr.PeakBufferFlits != ls.PeakBufferFlits {
+					t.Errorf("link %d→%d: collector peak buffer %d, sim %d", ls.From, ls.To, lr.PeakBufferFlits, ls.PeakBufferFlits)
+				}
+				if lr.Utilization != ls.Utilization {
+					t.Errorf("link %d→%d: collector utilization %g, sim %g", ls.From, ls.To, lr.Utilization, ls.Utilization)
+				}
+				maxTrees = max(maxTrees, ls.Trees)
+				if ls.Trees >= 2 {
+					shared++
+				}
+			}
+			// LinkStat.Trees counts the streams a link still holds at the
+			// end of the run, and recovery purges the aborted trees'
+			// streams, while the collector counts every tree that ever sent.
+			// The two agree exactly on fault-free runs; after a recovery the
+			// collector's whole-run count can only be larger.
+			switch {
+			case tc.failAt == 0 && rep.MaxEdgeCongestion != maxTrees:
+				t.Errorf("collector edge congestion %d, max LinkStat.Trees %d", rep.MaxEdgeCongestion, maxTrees)
+			case tc.failAt == 0 && rep.SharedDirectedLinks != shared:
+				t.Errorf("collector %d shared directed links, sim %d links with Trees ≥ 2", rep.SharedDirectedLinks, shared)
+			case rep.MaxEdgeCongestion < maxTrees || rep.SharedDirectedLinks < shared:
+				t.Errorf("collector congestion %d / %d shared links below the surviving streams' %d / %d",
+					rep.MaxEdgeCongestion, rep.SharedDirectedLinks, maxTrees, shared)
+			}
+			reduceDone := 0
+			for _, rd := range res.reduceDone {
+				reduceDone = max(reduceDone, rd)
+			}
+			if rep.ReducePhaseCycles != reduceDone {
+				t.Errorf("collector reduce phase %d cycles, max TreeReduceDone %d", rep.ReducePhaseCycles, reduceDone)
+			}
+			if tc.failAt > 0 && len(res.recoveries) == 0 {
+				t.Fatal("worst-case link failure triggered no recovery")
+			}
+			if len(rep.Recoveries) != len(res.recoveries) {
+				t.Fatalf("collector saw %d recoveries, simulator reports %d", len(rep.Recoveries), len(res.recoveries))
+			}
+			for i, r := range res.recoveries {
+				if got := rep.Recoveries[i].Cycle; got != r.Cycle {
+					t.Errorf("recovery %d: collector cycle %d, sim %d", i, got, r.Cycle)
+				}
+				if got, want := rep.Recoveries[i].LatencyCycles, r.Cycle-tc.failAt; got != want {
+					t.Errorf("recovery %d: collector latency %d, sim cycle − fail-at %d", i, got, want)
+				}
+			}
+			if tc.wantStalls && rep.StallRuns.Count == 0 {
+				t.Error("no stall runs recorded under VCDepth 2, latency 6")
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"polarfly/internal/critpath"
 	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
-	"polarfly/internal/obsv"
 	"polarfly/internal/parrun"
 	"polarfly/internal/workload"
 )
@@ -58,7 +57,9 @@ func DefaultCritPathConfig() CritPathConfig {
 // CritPathPoint is one analysed design point: the per-class blame split
 // of the run's critical path, the conservation check, and — for faulted
 // points — the cross-check of the path's fault-detect+recovery blame
-// against the obsv collector's independently measured recovery latency.
+// against the recovery latency the simulator measured independently
+// (netsim.Result.Recoveries). Link utilization comes from
+// netsim.Result.LinkStats.
 type CritPathPoint struct {
 	Q         int    `json:"q"`
 	Embedding string `json:"embedding"`
@@ -84,9 +85,10 @@ type CritPathPoint struct {
 	Unattributed   int                   `json:"unattributed"`
 	DominantClass  string                `json:"dominant_class,omitempty"`
 	// TopSerialization lists the up-to-three links with the most
-	// serialization blame; MaxUtilLink is the obsv collector's hottest
-	// directed link and TopLinkIsHottest whether the path's top
-	// serialization link is (one of) the maximally utilized links.
+	// serialization blame; MaxUtilLink is the simulator's hottest
+	// directed link (the first in (From, To) order on ties) and
+	// TopLinkIsHottest whether the path's top serialization link is (one
+	// of) the maximally utilized links.
 	// Informational, not gated: on congestion-shared forests the hottest
 	// global link sums two trees' streams while the path's serialization
 	// bottleneck is the completing tree's own busiest link (the shared
@@ -100,7 +102,7 @@ type CritPathPoint struct {
 	// surviving tree's original job can deliver last instead, in which
 	// case the re-issued traffic's delay is congestion blame and the
 	// round is legitimately off the path. The exactness contract: blame
-	// equals the collector's measured latency for exactly the traversed
+	// equals the simulator's measured latency for exactly the traversed
 	// rounds, so traversing all of them means exact equality with the
 	// measured total, and traversing a subset means blame stays below it.
 	RecoveriesMeasured     int `json:"recoveries_measured,omitempty"`
@@ -108,7 +110,7 @@ type CritPathPoint struct {
 	RecoveryBlameCycles    int `json:"recovery_blame_cycles,omitempty"`
 	MeasuredRecoveryCycles int `json:"measured_recovery_cycles,omitempty"`
 	// RecoveryRounds lists the traversed rounds (indices into the
-	// collector's recovery order) and TraversedRecoveryCycles their summed
+	// simulator's recovery order) and TraversedRecoveryCycles their summed
 	// measured latency — the exact quantity the blame must equal even when
 	// nested recoveries leave some rounds legitimately off the path.
 	RecoveryRounds          []int `json:"recovery_rounds,omitempty"`
@@ -128,9 +130,9 @@ type critJob struct {
 // CritPath sweeps the configured design points, reconstructs each run's
 // causal critical path from the trace stream, and returns one blame
 // record per (q, embedding, faulted). Points are independent — each job
-// builds its own instance, workload, collector, and builder from the
-// seeded config — so cfg.Parallel of them run concurrently on a parrun
-// pool with ordered commit.
+// builds its own instance, workload, and builder from the seeded config
+// — so cfg.Parallel of them run concurrently on a parrun pool with
+// ordered commit.
 func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 	if len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("perf: critpath sweep needs at least one q")
@@ -144,7 +146,7 @@ func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 	var jobs []critJob
 	for _, q := range cfg.Qs {
 		for _, faulted := range []bool{false, true} {
-			for _, kind := range sweepKinds(q) {
+			for _, kind := range core.ComparisonKinds(q) {
 				jobs = append(jobs, critJob{q: q, kind: kind, faulted: faulted})
 			}
 		}
@@ -185,9 +187,6 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 			{Kind: faults.LinkDown, U: link[0], V: link[1], At: cfg.FailAt},
 		}}
 	}
-	col := obsv.NewCollector()
-	col.DisableSpans = true // Metrics-only; Chrome spans are O(flits) at q=31 scale
-	col.Attach(&runCfg)
 	b := critpath.NewBuilder()
 	b.Attach(&runCfg)
 	res, err := inst.Allreduce(e, inputs, runCfg)
@@ -204,8 +203,6 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 	if err != nil {
 		return CritPathPoint{}, fmt.Errorf("perf: q=%d %v: %w", job.q, job.kind, err)
 	}
-	col.SetCycles(res.Cycles)
-	rep := col.Report()
 	pt.Cycles = res.Cycles
 
 	a, aerr := b.Analyze(res.Cycles)
@@ -228,34 +225,39 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 		top = top[:3]
 	}
 	pt.TopSerialization = top
-	pt.MaxLinkUtilization = rep.MaxLinkUtilization
+	for _, ls := range res.LinkStats {
+		pt.MaxLinkUtilization = max(pt.MaxLinkUtilization, ls.Utilization)
+	}
 	// Utilization is flits over the shared run length, so "hottest" ties
 	// are exact; the tiny slack only guards float division noise.
-	hot := rep.MaxLinkUtilization * (1 - 1e-9)
-	for _, lr := range rep.Links {
-		if lr.Utilization >= hot {
-			pt.MaxUtilLink = []int{lr.From, lr.To}
+	hot := pt.MaxLinkUtilization * (1 - 1e-9)
+	for _, ls := range res.LinkStats {
+		if ls.Utilization >= hot {
+			pt.MaxUtilLink = []int{ls.From, ls.To}
 			break
 		}
 	}
 	if len(top) > 0 {
-		for _, lr := range rep.Links {
-			if lr.From == top[0].From && lr.To == top[0].To {
-				pt.TopLinkIsHottest = lr.Utilization >= hot
+		for _, ls := range res.LinkStats {
+			if ls.From == top[0].From && ls.To == top[0].To {
+				pt.TopLinkIsHottest = ls.Utilization >= hot
 				break
 			}
 		}
 	}
-	pt.RecoveriesMeasured = len(rep.Recoveries)
+	// The plan is one LinkDown, which the fault engine activates at
+	// exactly FailAt, so every round's detection latency is measured
+	// from there.
+	pt.RecoveriesMeasured = len(res.Recoveries)
 	pt.RecoveriesOnPath = a.RecoveriesOnPath
 	pt.RecoveryBlameCycles = a.BlameCycles("fault-detect") + a.BlameCycles("recovery")
-	for _, r := range rep.Recoveries {
-		pt.MeasuredRecoveryCycles += r.LatencyCycles
+	for _, r := range res.Recoveries {
+		pt.MeasuredRecoveryCycles += r.Cycle - cfg.FailAt
 	}
 	pt.RecoveryRounds = a.RecoveryRounds
 	for _, ri := range a.RecoveryRounds {
-		if ri < len(rep.Recoveries) {
-			pt.TraversedRecoveryCycles += rep.Recoveries[ri].LatencyCycles
+		if ri < len(res.Recoveries) {
+			pt.TraversedRecoveryCycles += res.Recoveries[ri].Cycle - cfg.FailAt
 		}
 	}
 	return pt, nil
@@ -265,7 +267,7 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 // a blame split that does not sum exactly to the cycle count,
 // unattributed residue, a fault-free run not dominated by link
 // serialization on a maximally utilized link, or a faulted run whose
-// fault-detect+recovery blame disagrees with the collector's measured
+// fault-detect+recovery blame disagrees with the simulator's measured
 // recovery latency. Empty means the critpath gate passes.
 func CritPathFailures(points []CritPathPoint) []string {
 	var fails []string
@@ -305,7 +307,7 @@ func CritPathFailures(points []CritPathPoint) []string {
 			switch {
 			case pt.RecoveriesOnPath > pt.RecoveriesMeasured:
 				fails = append(fails, fmt.Sprintf(
-					"%s: path traversed %d recovery rounds, collector measured only %d",
+					"%s: path traversed %d recovery rounds, simulator measured only %d",
 					id, pt.RecoveriesOnPath, pt.RecoveriesMeasured))
 			case pt.RecoveriesOnPath == pt.RecoveriesMeasured && pt.RecoveryBlameCycles != pt.MeasuredRecoveryCycles:
 				fails = append(fails, fmt.Sprintf(

@@ -12,7 +12,7 @@ import (
 // embedding at q=3, fault-free and under the worst-case link failure.
 // Every analysable point must conserve cycles exactly with zero residue,
 // fault-free points must be serialization-dominated on the hottest link,
-// and faulted multi-tree points must blame exactly the collector's
+// and faulted multi-tree points must blame exactly the simulator's
 // measured recovery latency.
 func TestCritPathQ3(t *testing.T) {
 	cfg := DefaultCritPathConfig()

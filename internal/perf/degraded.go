@@ -109,15 +109,15 @@ func DegradedScorecard(cfg DegradedConfig) ([]DegradedPoint, error) {
 	if cfg.Tolerance < 0 || cfg.Tolerance >= 1 {
 		return nil, fmt.Errorf("perf: tolerance %g out of [0, 1)", cfg.Tolerance)
 	}
-	kinds := sweepKinds(cfg.Q)
+	kinds := core.ComparisonKinds(cfg.Q)
 	return parrun.Map(cfg.Parallel, len(kinds), func(i int) (DegradedPoint, error) {
 		return degradedPoint(cfg, kinds[i])
 	})
 }
 
 // degradedPoint runs the worst-case fault injection for one embedding
-// kind. Like scorePoint, every piece of state is built locally from the
-// deterministic config so concurrent calls never share anything.
+// kind. Every piece of state is built locally from the deterministic
+// config so concurrent calls never share anything.
 func degradedPoint(cfg DegradedConfig, kind core.EmbeddingKind) (DegradedPoint, error) {
 	inst, err := core.NewInstance(cfg.Q)
 	if err != nil {

@@ -3,14 +3,10 @@ package perf
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"polarfly/internal/bandwidth"
 	"polarfly/internal/core"
 	"polarfly/internal/netsim"
-	"polarfly/internal/obsv"
-	"polarfly/internal/parrun"
-	"polarfly/internal/workload"
 )
 
 // ScorecardConfig parameterises the measured-vs-model sweep.
@@ -68,7 +64,8 @@ const (
 
 // ScorePoint is one measured-vs-model record: a (q, embedding) design
 // point with the Algorithm 1 prediction, the simulated measurement, the
-// theorem floor, and the obsv telemetry that attributes the gap.
+// theorem floor, and the simulator's link and phase counters that
+// attribute the gap.
 type ScorePoint struct {
 	Q         int    `json:"q"`
 	Embedding string `json:"embedding"`
@@ -89,9 +86,9 @@ type ScorePoint struct {
 	MeetsBound bool    `json:"meets_bound"`
 	// OptimalBW is Corollary 7.1's (q+1)·B/2 ceiling, for normalising.
 	OptimalBW float64 `json:"optimal_bw"`
-	// Link telemetry from the obsv collector (not recomputed from the
-	// simulator): hottest measured link vs the waterfill prediction, with
-	// the explicit relative error.
+	// Link telemetry from the simulator's per-link counters
+	// (netsim.Result.LinkStats): hottest measured link vs the waterfill
+	// prediction, with the explicit relative error.
 	MaxLinkUtil      float64 `json:"max_link_util"`
 	ModelMaxLinkUtil float64 `json:"model_max_link_util"`
 	UtilRelErr       float64 `json:"util_rel_err"`
@@ -99,38 +96,19 @@ type ScorePoint struct {
 	// the low-depth forest; Theorem 7.19 pins it at 1).
 	MaxEdgeCongestion   int `json:"max_edge_congestion"`
 	SharedDirectedLinks int `json:"shared_directed_links"`
-	// Phase attribution from the collector: cycles until the slowest
-	// root finished reducing, and the broadcast tail after it.
+	// Phase attribution from netsim.Result.TreeReduceDone: cycles until
+	// the slowest root finished reducing, and the broadcast tail after it.
 	ReducePhaseCycles int `json:"reduce_phase_cycles"`
 	BcastPhaseCycles  int `json:"bcast_phase_cycles"`
 }
 
-// scoreJob is one independent (q, embedding) design point of the sweep.
-type scoreJob struct {
-	q    int
-	kind core.EmbeddingKind
-}
-
-// sweepKinds lists the embeddings simulated for one q (the low-depth
-// forest needs odd q, matching §6.1.1).
-func sweepKinds(q int) []core.EmbeddingKind {
-	if q%2 == 0 {
-		return []core.EmbeddingKind{core.SingleTree, core.Hamiltonian}
-	}
-	return []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}
-}
-
-// Scorecard sweeps the configured design points, runs each embedding
-// through the cycle simulator with an obsv collector attached, and
-// returns one record per (q, embedding). The collector's registry-backed
-// telemetry supplies the per-link utilization and phase split; only the
-// headline bandwidth is derived from the cycle count.
-//
-// Design points are independent — each job builds its own instance,
-// workload, and collector from the seeded config — so cfg.Parallel of
-// them run concurrently on a parrun pool; the ordered commit keeps the
-// returned slice (and everything rendered from it) byte-identical to a
-// serial sweep.
+// Scorecard runs core.SimulationSweep for each configured q and returns
+// one record per (q, embedding): the sweep's measured counters, which
+// come straight from netsim.Result, next to the embedding's theorem
+// floor. Each sweep verifies every node's output against the reference
+// sum and runs its embeddings on a parrun pool of cfg.Parallel workers;
+// the ordered commit keeps the returned slice (and everything rendered
+// from it) byte-identical to a serial sweep.
 func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 	if len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("perf: scorecard needs at least one q")
@@ -141,80 +119,53 @@ func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 	if cfg.Tolerance < 0 || cfg.Tolerance >= 1 {
 		return nil, fmt.Errorf("perf: tolerance %g out of [0, 1)", cfg.Tolerance)
 	}
-	var jobs []scoreJob
+	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth}
+	var points []ScorePoint
 	for _, q := range cfg.Qs {
-		for _, kind := range sweepKinds(q) {
-			jobs = append(jobs, scoreJob{q: q, kind: kind})
+		rows, err := core.SimulationSweep(q, cfg.M, runCfg, cfg.Seed, cfg.Parallel, core.ComparisonKinds(q), nil)
+		if err != nil {
+			return nil, fmt.Errorf("perf: q=%d: %w", q, err)
+		}
+		for _, row := range rows {
+			points = append(points, scorePoint(row, cfg.Tolerance))
 		}
 	}
-	return parrun.Map(cfg.Parallel, len(jobs), func(i int) (ScorePoint, error) {
-		return scorePoint(cfg, jobs[i].q, jobs[i].kind)
-	})
+	return points, nil
 }
 
-// scorePoint simulates one (q, embedding) design point. Everything it
-// touches is built locally from the deterministic config, so concurrent
-// calls never share state.
-func scorePoint(cfg ScorecardConfig, q int, kind core.EmbeddingKind) (ScorePoint, error) {
-	inst, err := core.NewInstance(q)
-	if err != nil {
-		return ScorePoint{}, err
-	}
-	inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
-	e, err := inst.Embed(kind)
-	if err != nil {
-		return ScorePoint{}, err
-	}
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth}
-	col := obsv.NewCollector()
-	col.DisableSpans = true // Metrics-only; Chrome spans are O(flits) at q=31 scale
-	col.Attach(&runCfg)
-	res, err := inst.Allreduce(e, inputs, runCfg)
-	if err != nil {
-		return ScorePoint{}, fmt.Errorf("perf: q=%d %v: %w", q, kind, err)
-	}
-	want := netsim.ExpectedOutput(inputs)
-	for v, out := range res.Outputs {
-		if !slices.Equal(out, want) {
-			return ScorePoint{}, fmt.Errorf("perf: q=%d %v: node %d output differs from the reference sum", q, kind, v)
-		}
-	}
-	col.SetCycles(res.Cycles)
-	reg := obsv.NewRegistry()
-	rep := col.Metrics(reg)
-
+// scorePoint maps one simulated sweep row to its scorecard record and
+// adds the embedding's proven bandwidth floor.
+func scorePoint(row core.SimRow, tolerance float64) ScorePoint {
 	pt := ScorePoint{
-		Q: q, Embedding: kind.String(), Trees: len(e.Forest),
-		M: cfg.M, Cycles: res.Cycles,
-		ModelBW:             e.Model.Aggregate,
-		MeasuredBW:          float64(cfg.M) / float64(res.Cycles),
-		OptimalBW:           bandwidth.Optimal(q, 1.0),
-		MaxLinkUtil:         rep.MaxLinkUtilization,
-		ModelMaxLinkUtil:    e.ModelMaxLinkLoad(),
-		MaxEdgeCongestion:   rep.MaxEdgeCongestion,
-		SharedDirectedLinks: rep.SharedDirectedLinks,
-		ReducePhaseCycles:   rep.ReducePhaseCycles,
-		BcastPhaseCycles:    rep.BcastPhaseCycles,
+		Q: row.Q, Embedding: row.Kind.String(), Trees: row.Trees,
+		M: row.M, Cycles: row.Cycles,
+		ModelBW:             row.ModelBW,
+		MeasuredBW:          row.MeasuredBW,
+		OptimalBW:           bandwidth.Optimal(row.Q, 1.0),
+		MaxLinkUtil:         row.MaxLinkUtil,
+		ModelMaxLinkUtil:    row.ModelMaxLinkUtil,
+		UtilRelErr:          row.UtilRelErr,
+		MaxEdgeCongestion:   row.MaxLinkTrees,
+		SharedDirectedLinks: row.SharedDirectedLinks,
+		ReducePhaseCycles:   row.ReduceCycles,
+		BcastPhaseCycles:    row.BcastCycles,
 	}
 	if pt.ModelBW > 0 {
 		pt.BWRelErr = (pt.MeasuredBW - pt.ModelBW) / pt.ModelBW
 	}
-	if pt.ModelMaxLinkUtil > 0 {
-		pt.UtilRelErr = (pt.MaxLinkUtil - pt.ModelMaxLinkUtil) / pt.ModelMaxLinkUtil
-	}
-	switch kind {
+	switch row.Kind {
 	case core.SingleTree:
 		pt.Bound, pt.BoundName = 1.0, BoundSingleLink
 	case core.LowDepth:
-		pt.Bound, pt.BoundName = bandwidth.LowDepthBound(q, 1.0), BoundThm76
+		pt.Bound, pt.BoundName = bandwidth.LowDepthBound(row.Q, 1.0), BoundThm76
 	case core.Hamiltonian:
-		pt.Bound, pt.BoundName = bandwidth.HamiltonianBound(len(e.Forest), 1.0), BoundThm719
+		pt.Bound, pt.BoundName = bandwidth.HamiltonianBound(row.Trees, 1.0), BoundThm719
 	case core.DepthTwo:
 		// Not part of the sweep; no proven floor.
 		pt.Bound, pt.BoundName = 0, "none"
 	}
-	pt.MeetsBound = pt.MeasuredBW >= pt.Bound*(1-cfg.Tolerance)
-	return pt, nil
+	pt.MeetsBound = pt.MeasuredBW >= pt.Bound*(1-tolerance)
+	return pt
 }
 
 // ScorecardFailures lists every way the points violate the model-accuracy

@@ -6,7 +6,8 @@ import (
 )
 
 // TestScorecardQ3 runs the smallest real sweep end to end and checks the
-// measured-vs-model contract plus the telemetry plumbing from obsv.
+// measured-vs-model contract plus the link and phase counters read from
+// netsim.Result.
 func TestScorecardQ3(t *testing.T) {
 	cfg := DefaultScorecardConfig()
 	cfg.Qs = []int{3}
@@ -50,7 +51,7 @@ func TestScorecardQ3(t *testing.T) {
 				pt.Embedding, pt.ReducePhaseCycles, pt.BcastPhaseCycles, pt.Cycles)
 		}
 		if pt.MaxLinkUtil <= 0 {
-			t.Errorf("%s: obsv link utilization %v not plumbed", pt.Embedding, pt.MaxLinkUtil)
+			t.Errorf("%s: link utilization %v not plumbed", pt.Embedding, pt.MaxLinkUtil)
 		}
 	}
 	// The theorem floors for q=3: low-depth ≥ q·B/2 = 1.5, hamiltonian

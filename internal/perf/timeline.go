@@ -78,10 +78,11 @@ func timelineFloor(q int, kind core.EmbeddingKind, e *core.Embedding) float64 {
 }
 
 // Timeline sweeps every embedding of the design point through a sampled
-// simulation and returns one tsdb snapshot per embedding, in sweepKinds
-// order. Each run is independent — sampler, analyzer, and collector are
-// all job-local — so cfg.Parallel of them run on a parrun pool with
-// ordered commit keeping the result byte-identical to a serial sweep.
+// simulation and returns one tsdb snapshot per embedding, in
+// core.ComparisonKinds order. Each run is independent — sampler,
+// analyzer, and collector are all job-local — so cfg.Parallel of them
+// run on a parrun pool with ordered commit keeping the result
+// byte-identical to a serial sweep.
 func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 	if cfg.M <= 0 {
 		return nil, fmt.Errorf("perf: timeline vector length must be positive, got %d", cfg.M)
@@ -89,7 +90,7 @@ func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 	if cfg.SampleEvery < 1 {
 		return nil, fmt.Errorf("perf: timeline needs SampleEvery ≥ 1, got %d", cfg.SampleEvery)
 	}
-	kinds := sweepKinds(cfg.Q)
+	kinds := core.ComparisonKinds(cfg.Q)
 	return parrun.Map(cfg.Parallel, len(kinds), func(i int) (*tsdb.Snapshot, error) {
 		return timelineRun(cfg, kinds[i])
 	})
