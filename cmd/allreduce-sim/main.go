@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"polarfly/internal/bandwidth"
 	"polarfly/internal/chaos"
 	"polarfly/internal/core"
 	"polarfly/internal/critpath"
@@ -50,6 +49,7 @@ import (
 	"polarfly/internal/netsim"
 	"polarfly/internal/obsv"
 	"polarfly/internal/parrun"
+	"polarfly/internal/perf"
 	"polarfly/internal/trees"
 	"polarfly/internal/tsdb"
 	"polarfly/internal/workload"
@@ -160,49 +160,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sweep {
 		return runSweep(*q, *m, *latency, *vc, *parallel, *seed, stdout, stderr)
 	}
+	cs := &consumers{q: *q, m: *m, latency: *latency, vc: *vc,
+		traceOut: *traceOut, metricsOut: *metricsOut, tsOut: *tsOut, critpathOut: *critpathOut,
+		sampleEvery: *sampleEvery, tsWindows: *tsWindows, meter: meter,
+		collectors: map[core.EmbeddingKind]*obsv.Collector{}, rigs: map[core.EmbeddingKind]*perf.Telemetry{},
+		builders: map[core.EmbeddingKind]*critpath.Builder{}, cycles: map[core.EmbeddingKind]int{}}
 	if *failLinks != "" || *faultSeed != 0 || *faultPlan != "" || *failRouters != "" || *chaosSeed != 0 {
 		return runFaults(*q, *m, *latency, *vc, *parallel, *seed,
-			*failLinks, *failRouters, *failAt, *faultSeed, *chaosSeed, *faultPlan, *traceOut, *metricsOut,
-			*tsOut, *sampleEvery, *tsWindows, *critpathOut, meter, stdout, stderr)
+			*failLinks, *failRouters, *failAt, *faultSeed, *chaosSeed, *faultPlan, cs, stdout, stderr)
 	}
 
 	cfg := netsim.Config{LinkLatency: *latency, VCDepth: *vc}
-
-	// With -trace-out/-metrics-out/-ts-out/-critpath-out/-progress, prep
-	// wires one collector, telemetry rig, critical-path builder, and/or
-	// progress tap per embedding. prep runs serially before the
-	// comparison's worker pool dispatches, so the maps need no locks and
-	// -parallel N output stays byte-identical to a serial run.
-	collectors := make(map[core.EmbeddingKind]*obsv.Collector)
-	rigs := make(map[core.EmbeddingKind]*tsRig)
-	builders := make(map[core.EmbeddingKind]*critpath.Builder)
-	var kindOrder []core.EmbeddingKind
-	var prep func(core.EmbeddingKind, *core.Embedding, *netsim.Config)
-	if *traceOut != "" || *metricsOut != "" || *tsOut != "" || *critpathOut != "" || meter != nil {
-		prep = func(kind core.EmbeddingKind, e *core.Embedding, c *netsim.Config) {
-			kindOrder = append(kindOrder, kind)
-			if *traceOut != "" || *metricsOut != "" {
-				col := obsv.NewCollector()
-				col.LinkLatency = *latency
-				col.SpanMergeGap = *latency
-				collectors[kind] = col
-				c.Trace = col.Observe
-			}
-			if *tsOut != "" {
-				rigs[kind] = newTSRig(*q, *m, *sampleEvery, *tsWindows, e, false, c)
-			}
-			if *critpathOut != "" {
-				b := critpath.NewBuilder()
-				b.Attach(c)
-				builders[kind] = b
-			}
-			if meter != nil {
-				meter.attach(c, estimateCycles(*m, e))
-			}
-		}
-	}
-
-	rows, err := core.SimulationSweep(*q, *m, cfg, *seed, *parallel, kinds, prep)
+	rows, err := core.SimulationSweep(*q, *m, cfg, *seed, *parallel, kinds, cs.attach)
 	if err != nil {
 		return fail(err)
 	}
@@ -210,28 +179,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*q, (*q)*(*q)+(*q)+1, *q+1, *m, *latency, *vc)
 	fmt.Fprintf(stdout, "%-12s %8s %10s %10s %8s %6s %6s %11s %9s %9s %13s\n",
 		"embedding", "trees", "model B", "meas. B", "cycles", "depth", "cong", "util(m/p)", "util err", "speedup", "red/bc cyc")
-	cyclesByKind := make(map[core.EmbeddingKind]int)
-	arenaByKind := make(map[core.EmbeddingKind]netsim.ArenaFootprint)
 	for _, r := range rows {
-		trees := 1
-		switch r.Kind {
-		case core.SingleTree:
-			trees = 1
-		case core.LowDepth, core.DepthTwo:
-			trees = *q
-		case core.Hamiltonian:
-			trees = (*q + 1) / 2
+		cs.done(r.Kind, r.Cycles)
+		if c, ok := cs.collectors[r.Kind]; ok {
+			c.SetArena(r.Arena)
 		}
-		cyclesByKind[r.Kind] = r.Cycles
-		arenaByKind[r.Kind] = r.Arena
 		fmt.Fprintf(stdout, "%-12v %8d %10.3f %10.3f %8d %6d %6d %5.2f/%4.2f %+8.2f%% %8.2fx %6d/%6d\n",
-			r.Kind, trees, r.ModelBW, r.MeasuredBW, r.Cycles, r.MaxDepth, r.MaxCongestion,
+			r.Kind, r.Trees, r.ModelBW, r.MeasuredBW, r.Cycles, r.MaxDepth, r.MaxCongestion,
 			r.MaxLinkUtil, r.ModelMaxLinkUtil, 100*r.UtilRelErr, r.SpeedupVsOne,
 			r.ReduceCycles, r.BcastCycles)
-	}
-	for kind, c := range collectors {
-		c.SetCycles(cyclesByKind[kind])
-		c.SetArena(arenaByKind[kind])
 	}
 
 	// Memory-ceiling gate: the arena footprint is derived from the spec,
@@ -247,44 +203,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *traceOut != "" {
-		ct := obsv.NewChromeTrace()
-		for _, kind := range kindOrder {
-			ct.Add(kind.String(), collectors[kind])
-		}
-		if err := writeFile(*traceOut, ct.Write); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "\nchrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
-	}
-	if *metricsOut != "" {
-		out := metricsFile{Q: *q, M: *m, LinkLatency: *latency, VCDepth: *vc,
-			Embeddings: make(map[string]embeddingMetrics, len(kindOrder))}
-		for _, kind := range kindOrder {
-			reg := obsv.NewRegistry()
-			rep := collectors[kind].Metrics(reg)
-			out.Embeddings[kind.String()] = embeddingMetrics{Summary: rep, Metrics: reg.Snapshot()}
-		}
-		if err := writeFile(*metricsOut, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(out)
-		}); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "metrics written to %s\n", *metricsOut)
-	}
-	if *tsOut != "" {
-		if err := writeTimelines(*tsOut, kindOrder, rigs); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "telemetry timeline written to %s\n", *tsOut)
-	}
-	if *critpathOut != "" {
-		if err := writeCritPaths(*critpathOut, kindOrder, builders, cyclesByKind); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "critical-path report written to %s\n", *critpathOut)
+	if err := cs.write(stdout); err != nil {
+		return fail(err)
 	}
 
 	if *hosts {
@@ -316,105 +236,152 @@ type embeddingMetrics struct {
 	Metrics obsv.Snapshot `json:"metrics"`
 }
 
-// tsRig is the per-embedding telemetry rig -ts-out attaches: the
-// bounded-memory sampler, the hotspot/bounds analyzer, and the snapshot
-// metadata captured at wiring time.
-type tsRig struct {
-	sampler  *tsdb.Sampler
-	analyzer *tsdb.Analyzer
-	meta     tsdb.SnapshotMeta
+// consumers is what the -trace-out, -metrics-out, -ts-out, -critpath-out
+// and -progress flags attach to every embedding's run, and the artifacts
+// written from it afterwards. attach runs serially before the
+// simulations dispatch, so the maps need no locks and -parallel N output
+// stays byte-identical to a serial run.
+type consumers struct {
+	q, m, latency, vc                        int
+	traceOut, metricsOut, tsOut, critpathOut string
+	sampleEvery, tsWindows                   int
+	meter                                    *progressMeter
+
+	order      []core.EmbeddingKind
+	collectors map[core.EmbeddingKind]*obsv.Collector
+	rigs       map[core.EmbeddingKind]*perf.Telemetry
+	builders   map[core.EmbeddingKind]*critpath.Builder
+	cycles     map[core.EmbeddingKind]int
 }
 
-// newTSRig wires a sampler and analyzer into one embedding's run config.
-// The sampler config must have been validated up front (run() does), so
-// construction cannot fail here. faulted disables the fault-free floor
-// check, which a mid-run link failure would legitimately break.
-func newTSRig(q, m, sampleEvery, windows int, e *core.Embedding, faulted bool, c *netsim.Config) *tsRig {
-	s := tsdb.MustNew(tsdb.Config{SampleEvery: sampleEvery, Windows: windows})
-	nodes := q*q + q + 1
-	floor := 0.0
-	switch e.Kind {
-	case core.SingleTree:
-		floor = 1.0
-	case core.LowDepth:
-		floor = bandwidth.LowDepthBound(q, 1.0)
-	case core.Hamiltonian:
-		floor = bandwidth.HamiltonianBound(len(e.Forest), 1.0)
-	default: // DepthTwo has no proven floor
+// attach wires one embedding's consumers into its run config: an obsv
+// collector, a telemetry rig (its fault-free floor check off when c
+// carries faults), a critical-path builder, and the progress tap.
+func (cs *consumers) attach(kind core.EmbeddingKind, e *core.Embedding, c *netsim.Config) error {
+	cs.order = append(cs.order, kind)
+	if cs.traceOut != "" || cs.metricsOut != "" {
+		col := obsv.NewCollector()
+		col.Attach(c)
+		cs.collectors[kind] = col
 	}
-	a := tsdb.NewAnalyzer(s, tsdb.AnalyzerConfig{
-		Tolerance: 0.10,
-		Bounds: tsdb.Bounds{
-			Nodes:     nodes,
-			Aggregate: e.Model.Aggregate,
-			Optimal:   bandwidth.Optimal(q, 1.0),
-			Floor:     floor,
-			FaultFree: !faulted,
-		},
-		Predicted: core.ModelLinkLoads(e),
-	})
-	c.SampleEvery = sampleEvery
-	c.Sample = s.Sample
-	return &tsRig{sampler: s, analyzer: a, meta: tsdb.SnapshotMeta{
-		Q: q, Kind: e.Kind.String(), M: m, Nodes: nodes,
-		Aggregate: e.Model.Aggregate, Optimal: bandwidth.Optimal(q, 1.0), Floor: floor}}
+	if cs.tsOut != "" {
+		faulted := c.Faults != nil && len(c.Faults.Faults) > 0
+		rig, err := perf.AttachTelemetry(tsdb.Config{SampleEvery: cs.sampleEvery, Windows: cs.tsWindows},
+			cs.q, cs.m, e, 0.10, faulted, c)
+		if err != nil {
+			return err
+		}
+		cs.rigs[kind] = rig
+	}
+	if cs.critpathOut != "" {
+		b := critpath.NewBuilder()
+		b.Attach(c)
+		cs.builders[kind] = b
+	}
+	if cs.meter != nil {
+		cs.meter.attach(c, estimateCycles(cs.m, e))
+	}
+	return nil
+}
+
+// done records a completed run's cycle count for its collector and its
+// critical-path analysis.
+func (cs *consumers) done(kind core.EmbeddingKind, cycles int) {
+	cs.cycles[kind] = cycles
+	if c, ok := cs.collectors[kind]; ok {
+		c.SetCycles(cycles)
+	}
+}
+
+// write writes every requested artifact, in run order, and notes each
+// file on stdout.
+func (cs *consumers) write(stdout io.Writer) error {
+	if cs.traceOut != "" {
+		ct := obsv.NewChromeTrace()
+		for _, kind := range cs.order {
+			ct.Add(kind.String(), cs.collectors[kind])
+		}
+		if err := writeFile(cs.traceOut, ct.Write); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nchrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", cs.traceOut)
+	}
+	if cs.metricsOut != "" {
+		out := metricsFile{Q: cs.q, M: cs.m, LinkLatency: cs.latency, VCDepth: cs.vc,
+			Embeddings: make(map[string]embeddingMetrics, len(cs.order))}
+		for _, kind := range cs.order {
+			reg := obsv.NewRegistry()
+			rep := cs.collectors[kind].Metrics(reg)
+			out.Embeddings[kind.String()] = embeddingMetrics{Summary: rep, Metrics: reg.Snapshot()}
+		}
+		if err := writeFile(cs.metricsOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(out)
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "metrics written to %s\n", cs.metricsOut)
+	}
+	if cs.tsOut != "" {
+		if err := writeFile(cs.tsOut, cs.writeTimelines); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "telemetry timeline written to %s\n", cs.tsOut)
+	}
+	if cs.critpathOut != "" {
+		if err := writeFile(cs.critpathOut, cs.writeCritPaths); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "critical-path report written to %s\n", cs.critpathOut)
+	}
+	return nil
 }
 
 // writeTimelines renders every rig's phase timeline, in run order.
-func writeTimelines(path string, order []core.EmbeddingKind, rigs map[core.EmbeddingKind]*tsRig) error {
-	return writeFile(path, func(w io.Writer) error {
-		first := true
-		for _, kind := range order {
-			r, ok := rigs[kind]
-			if !ok {
-				continue
-			}
-			if !first {
-				if _, err := fmt.Fprintln(w); err != nil {
-					return err
-				}
-			}
-			first = false
-			sn := tsdb.BuildSnapshot(r.sampler, r.analyzer, r.meta)
-			if err := sn.WriteMarkdown(w); err != nil {
+func (cs *consumers) writeTimelines(w io.Writer) error {
+	for i, kind := range cs.order {
+		if i > 0 {
+			if _, err := fmt.Fprintln(w); err != nil {
 				return err
 			}
 		}
-		return nil
-	})
+		if err := cs.rigs[kind].Snapshot().WriteMarkdown(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeCritPaths analyses every builder's trace index against the run's
 // final cycle count and renders one blame report per embedding, in run
 // order. An Analyze error (a causal-model inconsistency) aborts the
 // whole file — a partial report would hide the engine bug.
-func writeCritPaths(path string, order []core.EmbeddingKind, builders map[core.EmbeddingKind]*critpath.Builder, cycles map[core.EmbeddingKind]int) error {
-	return writeFile(path, func(w io.Writer) error {
-		first := true
-		for _, kind := range order {
-			b, ok := builders[kind]
-			if !ok {
-				continue
-			}
-			a, err := b.Analyze(cycles[kind])
-			if err != nil {
-				return fmt.Errorf("critical path for %v: %w", kind, err)
-			}
-			if !first {
-				if _, err := fmt.Fprintln(w); err != nil {
-					return err
-				}
-			}
-			first = false
-			if _, err := fmt.Fprintf(w, "Embedding: %s\n\n", kind); err != nil {
-				return err
-			}
-			if err := critpath.WriteMarkdown(w, a, 10); err != nil {
+func (cs *consumers) writeCritPaths(w io.Writer) error {
+	first := true
+	for _, kind := range cs.order {
+		b, ok := cs.builders[kind]
+		if !ok {
+			continue
+		}
+		a, err := b.Analyze(cs.cycles[kind])
+		if err != nil {
+			return fmt.Errorf("critical path for %v: %w", kind, err)
+		}
+		if !first {
+			if _, err := fmt.Fprintln(w); err != nil {
 				return err
 			}
 		}
-		return nil
-	})
+		first = false
+		if _, err := fmt.Fprintf(w, "Embedding: %s\n\n", kind); err != nil {
+			return err
+		}
+		if err := critpath.WriteMarkdown(w, a, 10); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // progressMeterSampleEvery is the sampling stride the -progress tap uses
@@ -622,8 +589,8 @@ func treeLinks(e *core.Embedding) [][2]int {
 // Each embedding's simulation is an independent job on a parrun pool
 // (rows render to strings inside the jobs and print afterwards in
 // embedding order), so -parallel N output is byte-identical to serial.
-func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers string, at int, fseed, chaosSeed int64, planPath, traceOut, metricsOut string,
-	tsOut string, sampleEvery, tsWindows int, critpathOut string, meter *progressMeter, stdout, stderr io.Writer) int {
+func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers string, at int, fseed, chaosSeed int64, planPath string,
+	cs *consumers, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "allreduce-sim:", err)
 		return 1
@@ -676,27 +643,11 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 	}
 	inputs := workload.Vectors(inst.N(), m, 1000, seed)
 	want := netsim.ExpectedOutput(inputs)
-	kinds := []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}
-	if q%2 == 0 {
-		kinds = []core.EmbeddingKind{core.SingleTree, core.Hamiltonian}
-	}
-
-	// With -trace-out/-metrics-out, attach one collector per embedding so
-	// the fault and recovery marks land in the exported telemetry; with
-	// -ts-out, one telemetry rig per embedding captures the degraded run's
-	// phase timeline (floor checks off — a fault legitimately breaks them);
-	// with -critpath-out, one critical-path builder per embedding indexes
-	// the trace for the post-run blame analysis.
-	collectors := make(map[core.EmbeddingKind]*obsv.Collector)
-	rigs := make(map[core.EmbeddingKind]*tsRig)
-	builders := make(map[core.EmbeddingKind]*critpath.Builder)
-	cyclesByKind := make(map[core.EmbeddingKind]int)
-	var kindOrder []core.EmbeddingKind
 
 	// faultJob is one embedding's fully-prepared degraded run. Prep runs
-	// serially (the maps above need no locks); the simulations then run as
-	// independent parrun jobs, each touching only its own job state and
-	// its own collector.
+	// serially (the consumer maps need no locks); the simulations then
+	// run as independent parrun jobs, each touching only its own job
+	// state and its own consumers.
 	type faultJob struct {
 		kind  core.EmbeddingKind
 		e     *core.Embedding
@@ -705,7 +656,7 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 		label string
 	}
 	var jobs []faultJob
-	for _, kind := range kinds {
+	for _, kind := range core.ComparisonKinds(q) {
 		e, err := inst.Embed(kind)
 		if err != nil {
 			return fail(err)
@@ -754,26 +705,8 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 		}
 
 		cfg := netsim.Config{LinkLatency: latency, VCDepth: vc, Faults: plan}
-		if traceOut != "" || metricsOut != "" || tsOut != "" || critpathOut != "" {
-			kindOrder = append(kindOrder, kind)
-		}
-		if traceOut != "" || metricsOut != "" {
-			c := obsv.NewCollector()
-			c.LinkLatency = latency
-			c.SpanMergeGap = latency
-			collectors[kind] = c
-			cfg.Trace = c.Observe
-		}
-		if tsOut != "" {
-			rigs[kind] = newTSRig(q, m, sampleEvery, tsWindows, e, len(plan.Faults) > 0, &cfg)
-		}
-		if critpathOut != "" {
-			b := critpath.NewBuilder()
-			b.Attach(&cfg)
-			builders[kind] = b
-		}
-		if meter != nil {
-			meter.attach(&cfg, estimateCycles(m, e))
+		if err := cs.attach(kind, e, &cfg); err != nil {
+			return fail(err)
 		}
 		jobs = append(jobs, faultJob{kind: kind, e: e, cfg: cfg, pred: pred, label: label})
 	}
@@ -784,19 +717,12 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 	type faultRow struct {
 		line    string
 		cycles  int
-		hasRes  bool
 		allLost bool
 	}
 	rows, err := parrun.Map(parallel, len(jobs), func(i int) (faultRow, error) {
 		job := jobs[i]
 		var row faultRow
 		res, err := inst.Allreduce(job.e, inputs, job.cfg)
-		if c, ok := collectors[job.kind]; ok && res != nil {
-			c.SetCycles(res.Cycles)
-		}
-		if res != nil {
-			row.cycles, row.hasRes = res.Cycles, true
-		}
 		if errors.Is(err, netsim.ErrAllTreesLost) {
 			row.allLost = true
 			row.line = fmt.Sprintf("%-12v %6d %-14s %-10s %9s %8s %8s %8s %10s %10s %8s %8s\n",
@@ -807,17 +733,10 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 			return row, fmt.Errorf("%v: %w", job.kind, err)
 		}
 
+		row.cycles = res.Cycles
 		outputs := "ok"
-		for v := range res.Outputs {
-			for k := range want {
-				if res.Outputs[v][k] != want[k] {
-					outputs = "WRONG"
-					break
-				}
-			}
-			if outputs != "ok" {
-				break
-			}
+		if inst.CheckOutputs(res.Outputs, want) != nil {
+			outputs = "WRONG"
 		}
 		recoverAt, reissued := "-", 0
 		if len(res.Recoveries) > 0 {
@@ -850,53 +769,15 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 		"pred B", "meas B", "err", "outputs")
 	for i, row := range rows {
 		fmt.Fprint(stdout, row.line)
-		if row.hasRes {
-			cyclesByKind[jobs[i].kind] = row.cycles
-		}
 		if row.allLost {
 			// No completed run, so no critical path to analyse.
-			delete(builders, jobs[i].kind)
+			delete(cs.builders, jobs[i].kind)
+		} else {
+			cs.done(jobs[i].kind, row.cycles)
 		}
 	}
-
-	if traceOut != "" {
-		ct := obsv.NewChromeTrace()
-		for _, kind := range kindOrder {
-			ct.Add(kind.String(), collectors[kind])
-		}
-		if err := writeFile(traceOut, ct.Write); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "\nchrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", traceOut)
-	}
-	if metricsOut != "" {
-		out := metricsFile{Q: q, M: m, LinkLatency: latency, VCDepth: vc,
-			Embeddings: make(map[string]embeddingMetrics, len(kindOrder))}
-		for _, kind := range kindOrder {
-			reg := obsv.NewRegistry()
-			rep := collectors[kind].Metrics(reg)
-			out.Embeddings[kind.String()] = embeddingMetrics{Summary: rep, Metrics: reg.Snapshot()}
-		}
-		if err := writeFile(metricsOut, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(out)
-		}); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "metrics written to %s\n", metricsOut)
-	}
-	if tsOut != "" {
-		if err := writeTimelines(tsOut, kindOrder, rigs); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "telemetry timeline written to %s\n", tsOut)
-	}
-	if critpathOut != "" {
-		if err := writeCritPaths(critpathOut, kindOrder, builders, cyclesByKind); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "critical-path report written to %s\n", critpathOut)
+	if err := cs.write(stdout); err != nil {
+		return fail(err)
 	}
 	return 0
 }
@@ -908,7 +789,7 @@ var sweepKinds = []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamil
 // runSweep prints per-embedding cycle counts over a geometric vector-size
 // sweep, marking the winner at each point — the latency/bandwidth
 // crossover study of Figure 5's discussion. The m points are independent
-// (SimulationComparison builds its own instance and workload per call),
+// (SimulationSweep builds its own instance and workload per call),
 // so they run on a parrun pool; rows are rendered to strings inside the
 // jobs and printed afterwards in m order, keeping stdout byte-identical
 // to the serial sweep.
@@ -920,7 +801,7 @@ func runSweep(q, maxM, latency, vc, parallel int, seed int64, stdout, stderr io.
 	}
 	lines, err := parrun.Map(parallel, len(ms), func(i int) (string, error) {
 		m := ms[i]
-		rows, err := core.SimulationComparison(q, m, cfg, seed)
+		rows, err := core.SimulationSweep(q, m, cfg, seed, 1, nil, nil)
 		if err != nil {
 			return "", err
 		}

@@ -218,6 +218,11 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
+// newSnapshot is the envelope of every snapshot a command writes.
+func newSnapshot(kind, label string) *perf.Snapshot {
+	return &perf.Snapshot{Schema: perf.SnapshotSchema, Label: label, Kind: kind, GoVersion: runtime.Version()}
+}
+
 // gateExit prints one FAIL line per gate violation and returns the exit
 // code: 1 when there is any violation, else 0.
 func gateExit(stderr io.Writer, fails []string) int {
@@ -317,15 +322,10 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	snap := &perf.Snapshot{
-		Schema:     perf.SnapshotSchema,
-		Label:      *label,
-		Kind:       perf.KindBench,
-		GoVersion:  runtime.Version(),
-		Packages:   parsed.Packages,
-		Failed:     append(parsed.Failed, parsed.FailedPackages...),
-		Benchmarks: perf.Summarize(parsed.Results),
-	}
+	snap := newSnapshot(perf.KindBench, *label)
+	snap.Packages = parsed.Packages
+	snap.Failed = append(parsed.Failed, parsed.FailedPackages...)
+	snap.Benchmarks = perf.Summarize(parsed.Results)
 	markdown := func(w io.Writer) error { return perf.WriteBenchMarkdown(w, snap) }
 	if code := emit(stdout, stderr, snapshotPath(*outDir, "BENCH", *label), snap, markdown,
 		fmt.Sprintf("%d benchmarks", len(snap.Benchmarks)), nil); code != 0 {
@@ -416,14 +416,9 @@ func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	snap := &perf.Snapshot{
-		Schema:          perf.SnapshotSchema,
-		Label:           *label,
-		Kind:            perf.KindScorecard,
-		GoVersion:       runtime.Version(),
-		Scorecard:       points,
-		ScorecardConfig: &cfg,
-	}
+	snap := newSnapshot(perf.KindScorecard, *label)
+	snap.Scorecard = points
+	snap.ScorecardConfig = &cfg
 	markdown := func(w io.Writer) error { return perf.WriteScorecardMarkdown(w, snap) }
 	return emit(stdout, stderr, snapshotPath(*outDir, "BENCH", *label), snap, markdown,
 		fmt.Sprintf("%d design points", len(points)), perf.ScorecardFailures(points, cfg.Tolerance))
@@ -460,14 +455,9 @@ func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed i
 	if len(cfgs) > 0 {
 		lastCfg = cfgs[len(cfgs)-1]
 	}
-	snap := &perf.Snapshot{
-		Schema:         perf.SnapshotSchema,
-		Label:          label,
-		Kind:           perf.KindDegraded,
-		GoVersion:      runtime.Version(),
-		Degraded:       points,
-		DegradedConfig: &lastCfg,
-	}
+	snap := newSnapshot(perf.KindDegraded, label)
+	snap.Degraded = points
+	snap.DegradedConfig = &lastCfg
 	markdown := func(w io.Writer) error { return perf.WriteDegradedMarkdown(w, snap) }
 	return emit(stdout, stderr, snapshotPath(outDir, "BENCH", label), snap, markdown,
 		fmt.Sprintf("%d fault-injected points", len(points)), perf.DegradedFailures(points))
@@ -509,14 +499,9 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	snap := &perf.Snapshot{
-		Schema:         perf.SnapshotSchema,
-		Label:          *label,
-		Kind:           perf.KindTimeline,
-		GoVersion:      runtime.Version(),
-		Timeline:       runs,
-		TimelineConfig: &cfg,
-	}
+	snap := newSnapshot(perf.KindTimeline, *label)
+	snap.Timeline = runs
+	snap.TimelineConfig = &cfg
 	markdown := func(w io.Writer) error { return perf.WriteTimelineMarkdown(w, snap) }
 	return emit(stdout, stderr, snapshotPath(*outDir, "TIMELINE", *label), snap, markdown,
 		fmt.Sprintf("%d embeddings", len(runs)), perf.TimelineFailures(runs, cfg))
@@ -558,14 +543,9 @@ func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	snap := &perf.Snapshot{
-		Schema:         perf.SnapshotSchema,
-		Label:          *label,
-		Kind:           perf.KindCritPath,
-		GoVersion:      runtime.Version(),
-		CritPath:       points,
-		CritPathConfig: &cfg,
-	}
+	snap := newSnapshot(perf.KindCritPath, *label)
+	snap.CritPath = points
+	snap.CritPathConfig = &cfg
 	markdown := func(w io.Writer) error { return perf.WriteCritPathMarkdown(w, snap) }
 	return emit(stdout, stderr, snapshotPath(*outDir, "CRITPATH", *label), snap, markdown,
 		fmt.Sprintf("%d design points", len(points)), perf.CritPathFailures(points))

@@ -335,7 +335,7 @@ func main() {
 	})
 
 	run("sim", func() error {
-		rows, err := core.SimulationComparison(*q, *m, netsim.Config{LinkLatency: 10, VCDepth: 10}, core.DefaultSeed)
+		rows, err := core.SimulationSweep(*q, *m, netsim.Config{LinkLatency: 10, VCDepth: 10}, core.DefaultSeed, 1, nil, nil)
 		if err != nil {
 			return err
 		}

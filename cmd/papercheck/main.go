@@ -201,7 +201,7 @@ func main() {
 		sweepOK, fmt.Sprintf("worst case %d tries", worst))
 
 	// --- End-to-end: simulator agrees with the model ------------------------
-	rows, err := core.SimulationComparison(5, 2000, netsim.Config{LinkLatency: 3, VCDepth: 6}, core.DefaultSeed)
+	rows, err := core.SimulationSweep(5, 2000, netsim.Config{LinkLatency: 3, VCDepth: 6}, core.DefaultSeed, 1, nil, nil)
 	simOK := err == nil
 	detail := ""
 	for _, r := range rows {

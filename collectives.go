@@ -107,12 +107,8 @@ func (s *System) Broadcast(p *Plan, source []int64, opt Options) (*Stats, error)
 	if err != nil {
 		return nil, err
 	}
-	for v := range res.Outputs {
-		for k := range source {
-			if res.Outputs[v][k] != source[k] {
-				return nil, fmt.Errorf("polarfly: internal error: broadcast wrong at node %d element %d", v, k)
-			}
-		}
+	if err := s.inst.CheckOutputs(res.Outputs, source); err != nil {
+		return nil, fmt.Errorf("polarfly: internal error: broadcast %w", err)
 	}
 	st := &Stats{Cycles: res.Cycles, Split: split, FlitsSent: res.FlitsSent, PeakBufferFlits: res.PeakBufferFlits}
 	if res.Cycles > 0 {

@@ -386,17 +386,8 @@ func runOne(cfg Config, sp *pointSpec, run int) runResult {
 	}
 
 	// Invariant 1: exact reduction output at every node.
-	for v := range res.Outputs {
-		for k := range sp.want {
-			if res.Outputs[v][k] != sp.want[k] {
-				violate("node %d output[%d] = %d, want %d (plan %v)",
-					v, k, res.Outputs[v][k], sp.want[k], plan.Faults)
-				break
-			}
-		}
-		if rr.outcome == Violation {
-			break
-		}
+	if err := sp.inst.CheckOutputs(res.Outputs, sp.want); err != nil {
+		violate("%v (plan %v)", err, plan.Faults)
 	}
 
 	// Invariant 2: flit conservation.

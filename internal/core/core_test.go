@@ -285,7 +285,7 @@ func TestFigure5ConstructiveExtended(t *testing.T) {
 }
 
 func TestSimulationComparison(t *testing.T) {
-	rows, err := SimulationComparison(5, 600, netsim.Config{LinkLatency: 2, VCDepth: 6}, 17)
+	rows, err := SimulationSweep(5, 600, netsim.Config{LinkLatency: 2, VCDepth: 6}, 17, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSimulationComparison(t *testing.T) {
 		t.Errorf("multi-tree speedups too low: low=%f ham=%f", low.SpeedupVsOne, ham.SpeedupVsOne)
 	}
 	// Even q drops the low-depth row.
-	rows, err = SimulationComparison(4, 300, netsim.Config{LinkLatency: 2, VCDepth: 6}, 17)
+	rows, err = SimulationSweep(4, 300, netsim.Config{LinkLatency: 2, VCDepth: 6}, 17, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,9 +229,9 @@ type SimRow struct {
 	Arena netsim.ArenaFootprint
 }
 
-// ComparisonKinds is the embedding sweep SimulationComparison runs for
-// one q: all three embeddings, minus LowDepth for even q (the paper's
-// layout needs odd q).
+// ComparisonKinds is the embedding sweep SimulationSweep runs for one q:
+// all three embeddings, minus LowDepth for even q (the paper's layout
+// needs odd q).
 func ComparisonKinds(q int) []EmbeddingKind {
 	if q%2 == 0 {
 		return []EmbeddingKind{SingleTree, Hamiltonian}
@@ -239,50 +239,21 @@ func ComparisonKinds(q int) []EmbeddingKind {
 	return []EmbeddingKind{SingleTree, LowDepth, Hamiltonian}
 }
 
-// SimulationComparison runs all three embeddings (two for even q) on the
-// same inputs and fabric configuration.
-func SimulationComparison(q, m int, cfg netsim.Config, seed int64) ([]SimRow, error) {
-	return SimulationComparisonPar(q, m, cfg, seed, 1, nil)
-}
-
-// SimulationComparisonHooked is SimulationComparison with an optional
-// per-embedding trace tap: when hook is non-nil it is called before each
-// run and may return a netsim trace callback (nil to skip that
-// embedding). This is how cmd/allreduce-sim attaches one obsv collector
-// per embedding without altering the comparison itself.
-func SimulationComparisonHooked(q, m int, cfg netsim.Config, seed int64,
-	hook func(EmbeddingKind) func(netsim.TraceEvent)) ([]SimRow, error) {
-	var prep func(EmbeddingKind, *Embedding, *netsim.Config)
-	if hook != nil {
-		prep = func(kind EmbeddingKind, _ *Embedding, c *netsim.Config) {
-			c.Trace = hook(kind)
-		}
-	}
-	return SimulationComparisonPar(q, m, cfg, seed, 1, prep)
-}
-
-// SimulationComparisonPar is the general form: the embeddings are built
-// serially in ComparisonKinds order and prep (optional) customises each
-// run's config — attach a trace collector, a telemetry sampler, a fault
-// plan — with the embedding in hand for model-derived wiring. The
-// simulations then run on a parrun pool of the given size (1 forces
-// serial, <1 means GOMAXPROCS). Because prep runs before the pool
-// dispatches and each run only touches its own config, per-kind consumers
-// need no synchronisation, and the ordered commit keeps the rows — and
-// anything prep wired up — byte-identical to a serial sweep.
-func SimulationComparisonPar(q, m int, cfg netsim.Config, seed int64, parallel int,
-	prep func(EmbeddingKind, *Embedding, *netsim.Config)) ([]SimRow, error) {
-	return SimulationSweep(q, m, cfg, seed, parallel, nil, prep)
-}
-
-// SimulationSweep is SimulationComparisonPar with an explicit embedding
-// list: kinds == nil means the full ComparisonKinds sweep, anything else
-// restricts the runs (e.g. hamiltonian-only at q=127, where building
-// every embedding would dominate a smoke test). When SingleTree is not
-// in the list the SpeedupVsOne column stays zero — there is no baseline
-// to normalise against.
+// SimulationSweep runs the listed embeddings (kinds == nil means the full
+// ComparisonKinds sweep) on the same inputs and fabric configuration and
+// verifies every node's output. The embeddings are built serially in
+// list order and prep (optional) customises each run's config — attach a
+// trace collector, a telemetry sampler, a fault plan — with the
+// embedding in hand for model-derived wiring; a prep error aborts the
+// sweep before any simulation. The simulations then run on a parrun pool
+// of the given size (1 forces serial, <1 means GOMAXPROCS). Because prep
+// runs before the pool dispatches and each run only touches its own
+// config, per-kind consumers need no synchronisation, and the ordered
+// commit keeps the rows — and anything prep wired up — byte-identical to
+// a serial sweep. When SingleTree is not in the list the SpeedupVsOne
+// column stays zero — there is no baseline to normalise against.
 func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
-	kinds []EmbeddingKind, prep func(EmbeddingKind, *Embedding, *netsim.Config)) ([]SimRow, error) {
+	kinds []EmbeddingKind, prep func(EmbeddingKind, *Embedding, *netsim.Config) error) ([]SimRow, error) {
 	inst, err := NewInstance(q)
 	if err != nil {
 		return nil, err
@@ -302,7 +273,9 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 		embeds[i] = e
 		cfgs[i] = cfg
 		if prep != nil {
-			prep(kind, e, &cfgs[i])
+			if err := prep(kind, e, &cfgs[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	rows, err := parrun.Map(parallel, len(kinds), func(i int) (SimRow, error) {
@@ -311,13 +284,8 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 		if err != nil {
 			return SimRow{}, err
 		}
-		// Verify numerical correctness on every run.
-		for v := range res.Outputs {
-			for k := range want {
-				if res.Outputs[v][k] != want[k] {
-					return SimRow{}, fmt.Errorf("core: %v: wrong sum at node %d element %d", kind, v, k)
-				}
-			}
+		if err := inst.CheckOutputs(res.Outputs, want); err != nil {
+			return SimRow{}, fmt.Errorf("core: %v: %w", kind, err)
 		}
 		maxUtil, maxTrees, shared := 0.0, 0, 0
 		for _, ls := range res.LinkStats {

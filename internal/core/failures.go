@@ -149,12 +149,8 @@ func FailureTolerance(q int) ([]FailureToleranceRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	kinds := []EmbeddingKind{SingleTree, LowDepth, Hamiltonian}
-	if q%2 == 0 {
-		kinds = []EmbeddingKind{SingleTree, Hamiltonian}
-	}
 	var rows []FailureToleranceRow
-	for _, kind := range kinds {
+	for _, kind := range ComparisonKinds(q) {
 		e, err := inst.Embed(kind)
 		if err != nil {
 			return nil, err

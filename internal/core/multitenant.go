@@ -71,14 +71,8 @@ func TenantIsolation(q, m, tenants int, cfg netsim.Config, seed int64) ([]Tenant
 	if err != nil {
 		return nil, err
 	}
-	// Verify sums.
-	want := netsim.ExpectedOutput(inputs)
-	for v := range res.Outputs {
-		for k := range want {
-			if res.Outputs[v][k] != want[k] {
-				return nil, fmt.Errorf("core: tenant experiment wrong at node %d element %d", v, k)
-			}
-		}
+	if err := inst.CheckOutputs(res.Outputs, netsim.ExpectedOutput(inputs)); err != nil {
+		return nil, fmt.Errorf("core: tenant experiment: %w", err)
 	}
 	rows := make([]TenantRow, tenants)
 	for j := range rows {

@@ -101,7 +101,7 @@ func TestDepthTwoEmbedding(t *testing.T) {
 		t.Errorf("even q depth-2: %d trees", len(e4.Forest))
 	}
 	// And simulates correctly.
-	rows, err := SimulationComparison(5, 200, netsim.Config{LinkLatency: 2, VCDepth: 4}, 3)
+	rows, err := SimulationSweep(5, 200, netsim.Config{LinkLatency: 2, VCDepth: 4}, 3, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

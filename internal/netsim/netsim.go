@@ -303,7 +303,10 @@ type LinkStat struct {
 	// occupancy across the link's virtual channels.
 	PeakBufferFlits int
 	// Trees is the number of distinct trees with a stream on this link —
-	// the directed congestion the paper's Lemma 7.8 reasons about.
+	// the directed congestion the paper's Lemma 7.8 reasons about. It
+	// counts the streams the link still holds when the run ends: recovery
+	// purges the streams of aborted trees, so on a faulted run it can
+	// undercount the congestion the link carried over the whole run.
 	Trees int
 	// Utilization is BusyCycles divided by the run's total cycles.
 	Utilization float64

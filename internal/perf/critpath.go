@@ -1,13 +1,11 @@
 package perf
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
 	"polarfly/internal/core"
 	"polarfly/internal/critpath"
-	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
 	"polarfly/internal/parrun"
 	"polarfly/internal/workload"
@@ -173,35 +171,30 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 		Q: job.q, Embedding: job.kind.String(), Trees: len(e.Forest), M: cfg.M,
 	}
 	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth}
-	survivors := true
+	var wc *core.WorstCase
 	if job.faulted {
-		link, deg, err := core.WorstCaseLink(e)
-		if err != nil {
+		if wc, err = core.WorstCaseFault(e, cfg.FailAt); err != nil {
 			return CritPathPoint{}, err
 		}
 		pt.Faulted = true
-		pt.FailedLink = []int{link[0], link[1]}
+		pt.FailedLink = []int{wc.Link[0], wc.Link[1]}
 		pt.FailAt = cfg.FailAt
-		survivors = deg != nil
-		runCfg.Faults = &faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.LinkDown, U: link[0], V: link[1], At: cfg.FailAt},
-		}}
+		runCfg.Faults = wc.Plan
 	}
 	b := critpath.NewBuilder()
 	b.Attach(&runCfg)
 	res, err := inst.Allreduce(e, inputs, runCfg)
-	if !survivors {
-		// The worst case kills every tree (single-tree baseline): the run
-		// must abort with the sentinel; there is no path to analyse.
-		if !errors.Is(err, netsim.ErrAllTreesLost) {
-			return CritPathPoint{}, fmt.Errorf("perf: q=%d %v: want ErrAllTreesLost, got %v", job.q, job.kind, err)
-		}
-		pt.AllTreesLost = true
-		pt.ConservationOK = true // nothing to conserve; the abort is the expectation
-		return pt, nil
+	lost := false
+	if wc != nil {
+		lost, err = wc.Outcome(err)
 	}
 	if err != nil {
 		return CritPathPoint{}, fmt.Errorf("perf: q=%d %v: %w", job.q, job.kind, err)
+	}
+	if lost {
+		pt.AllTreesLost = true
+		pt.ConservationOK = true // nothing to conserve; the abort is the expectation
+		return pt, nil
 	}
 	pt.Cycles = res.Cycles
 
@@ -374,11 +367,7 @@ func WriteCritPathMarkdown(w io.Writer, s *Snapshot) error {
 			faultRec = fmt.Sprintf("%d/%d", pt.RecoveryBlameCycles, pt.MeasuredRecoveryCycles)
 		}
 		ok := "yes"
-		if pt.AnalysisError != "" || !pt.ConservationOK || pt.Unattributed != 0 ||
-			(!pt.Faulted && pt.DominantClass != critpath.ClassSerialization.String()) ||
-			(pt.Faulted && pt.RecoveriesOnPath == pt.RecoveriesMeasured && pt.RecoveryBlameCycles != pt.MeasuredRecoveryCycles) ||
-			(pt.Faulted && pt.RecoveriesOnPath < pt.RecoveriesMeasured && len(pt.RecoveryRounds) > 0 && pt.RecoveryBlameCycles != pt.TraversedRecoveryCycles) ||
-			(pt.Faulted && pt.RecoveriesOnPath < pt.RecoveriesMeasured && pt.RecoveryBlameCycles > pt.MeasuredRecoveryCycles) {
+		if len(CritPathFailures([]CritPathPoint{pt})) > 0 {
 			ok = "**NO**"
 		}
 		if err := writeRow(w, fmt.Sprintf("%d", pt.Q), pt.Embedding, mode,

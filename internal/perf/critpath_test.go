@@ -182,3 +182,34 @@ func TestWriteCritPathMarkdown(t *testing.T) {
 		}
 	}
 }
+
+// TestCritPathMarkdownOKMatchesFailures renders each fabricated point on
+// its own and checks the table's ok column says **NO** exactly when the
+// gate rejects the point — including a fault-free point with no
+// serialization link and a path that traversed more recovery rounds
+// than the simulator measured.
+func TestCritPathMarkdownOKMatchesFailures(t *testing.T) {
+	top := []critpath.LinkBlame{{From: 0, To: 1, Cycles: 60}}
+	points := []CritPathPoint{
+		{Embedding: "ok", Cycles: 100, ConservationOK: true,
+			DominantClass: "serialization", TopSerialization: top},
+		{Embedding: "no-top-link", Cycles: 100, ConservationOK: true,
+			DominantClass: "serialization"},
+		{Embedding: "overcounted", Faulted: true, Cycles: 100, ConservationOK: true,
+			RecoveriesMeasured: 1, RecoveriesOnPath: 2},
+		{Embedding: "mismatched", Faulted: true, Cycles: 100, ConservationOK: true,
+			RecoveriesMeasured: 1, RecoveriesOnPath: 1,
+			RecoveryBlameCycles: 40, MeasuredRecoveryCycles: 41},
+	}
+	for _, pt := range points {
+		var sb strings.Builder
+		s := &Snapshot{Label: "test", Kind: KindCritPath, CritPath: []CritPathPoint{pt}}
+		if err := WriteCritPathMarkdown(&sb, s); err != nil {
+			t.Fatal(err)
+		}
+		failing := len(CritPathFailures([]CritPathPoint{pt})) > 0
+		if got := strings.Contains(sb.String(), "**NO**"); got != failing {
+			t.Errorf("%s: markdown says NO=%v, gate failing=%v:\n%s", pt.Embedding, got, failing, sb.String())
+		}
+	}
+}

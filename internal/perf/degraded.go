@@ -1,13 +1,11 @@
 package perf
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"polarfly/internal/core"
-	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
 	"polarfly/internal/parrun"
 	"polarfly/internal/workload"
@@ -124,36 +122,28 @@ func degradedPoint(cfg DegradedConfig, kind core.EmbeddingKind) (DegradedPoint, 
 		return DegradedPoint{}, err
 	}
 	inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
-	want := netsim.ExpectedOutput(inputs)
 	e, err := inst.Embed(kind)
 	if err != nil {
 		return DegradedPoint{}, err
 	}
-	link, deg, err := core.WorstCaseLink(e)
+	wc, err := core.WorstCaseFault(e, cfg.FailAt)
 	if err != nil {
 		return DegradedPoint{}, err
 	}
-	plan := &faults.Plan{Faults: []faults.Fault{
-		{Kind: faults.LinkDown, U: link[0], V: link[1], At: cfg.FailAt},
-	}}
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Faults: plan}
+	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Faults: wc.Plan}
 	pt := DegradedPoint{
 		Q: cfg.Q, Embedding: kind.String(), Trees: len(e.Forest),
-		M: cfg.M, FailedLink: link, FailAt: cfg.FailAt,
+		M: cfg.M, FailedLink: wc.Link, FailAt: cfg.FailAt,
 	}
 	res, err := inst.Allreduce(e, inputs, runCfg)
-	if deg == nil {
-		// The worst case kills every tree (single-tree baseline): the
-		// run must abort with the sentinel, not hang or mis-answer.
-		if !errors.Is(err, netsim.ErrAllTreesLost) {
-			return DegradedPoint{}, fmt.Errorf("perf: q=%d %v: want ErrAllTreesLost, got %v", cfg.Q, kind, err)
-		}
+	lost, err := wc.Outcome(err)
+	if err != nil {
+		return DegradedPoint{}, fmt.Errorf("perf: q=%d %v: %w", cfg.Q, kind, err)
+	}
+	if lost {
 		pt.AllTreesLost = true
 		pt.Within = true // nothing to predict; the abort IS the prediction
 		return pt, nil
-	}
-	if err != nil {
-		return DegradedPoint{}, fmt.Errorf("perf: q=%d %v: %w", cfg.Q, kind, err)
 	}
 	pt.DeadTrees = res.DeadTrees
 	pt.DroppedFlits = res.DroppedFlits
@@ -162,24 +152,13 @@ func degradedPoint(cfg DegradedConfig, kind core.EmbeddingKind) (DegradedPoint, 
 		pt.RecoveryCycle = res.Recoveries[len(res.Recoveries)-1].Cycle
 		pt.Reissued = res.Recoveries[len(res.Recoveries)-1].Reissued
 	}
-	pt.PredictedBW = deg.Model.Aggregate
+	pt.PredictedBW = wc.Degraded.Model.Aggregate
 	pt.MeasuredBW = res.PostRecoveryBW
 	if pt.PredictedBW > 0 {
 		pt.RelErr = (pt.MeasuredBW - pt.PredictedBW) / pt.PredictedBW
 	}
 	pt.Within = math.Abs(pt.RelErr) <= cfg.Tolerance
-	pt.OutputsOK = true
-	for v := range res.Outputs {
-		for k := range want {
-			if res.Outputs[v][k] != want[k] {
-				pt.OutputsOK = false
-				break
-			}
-		}
-		if !pt.OutputsOK {
-			break
-		}
-	}
+	pt.OutputsOK = inst.CheckOutputs(res.Outputs, netsim.ExpectedOutput(inputs)) == nil
 	return pt, nil
 }
 
@@ -239,7 +218,7 @@ func WriteDegradedMarkdown(w io.Writer, s *Snapshot) error {
 			continue
 		}
 		ok := "yes"
-		if !pt.Within || !pt.OutputsOK {
+		if len(DegradedFailures([]DegradedPoint{pt})) > 0 {
 			ok = "**NO**"
 		}
 		if err := writeRow(w, pt.Embedding, fmt.Sprintf("%d", pt.Trees),

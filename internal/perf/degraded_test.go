@@ -126,3 +126,29 @@ func TestDegradedFailures(t *testing.T) {
 		t.Errorf("healthy points reported failures: %v", got)
 	}
 }
+
+// TestDegradedMarkdownOKMatchesFailures renders each fabricated point on
+// its own and checks the table's ok column says **NO** exactly when the
+// gate rejects the point — including a run within tolerance that never
+// recovered.
+func TestDegradedMarkdownOKMatchesFailures(t *testing.T) {
+	points := []DegradedPoint{
+		{Embedding: "ok", RecoveryCycle: 100, PredictedBW: 2, MeasuredBW: 1.95,
+			RelErr: -0.025, Within: true, OutputsOK: true},
+		{Embedding: "no-recovery", RecoveryCycle: 0, PredictedBW: 2, MeasuredBW: 2,
+			Within: true, OutputsOK: true},
+		{Embedding: "drifted", RecoveryCycle: 100, PredictedBW: 2, MeasuredBW: 1.0,
+			RelErr: -0.5, Within: false, OutputsOK: true},
+	}
+	for _, pt := range points {
+		var sb strings.Builder
+		s := &Snapshot{Label: "test", Kind: KindDegraded, Degraded: []DegradedPoint{pt}}
+		if err := WriteDegradedMarkdown(&sb, s); err != nil {
+			t.Fatal(err)
+		}
+		failing := len(DegradedFailures([]DegradedPoint{pt})) > 0
+		if got := strings.Contains(sb.String(), "**NO**"); got != failing {
+			t.Errorf("%s: markdown says NO=%v, gate failing=%v:\n%s", pt.Embedding, got, failing, sb.String())
+		}
+	}
+}

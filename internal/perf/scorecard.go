@@ -50,18 +50,6 @@ func DefaultScorecardConfig() ScorecardConfig {
 	}
 }
 
-// Bound names used in ScorePoint.BoundName.
-const (
-	// BoundThm76 is the Theorem 7.6 floor q·B/2 for the depth-3 forest.
-	BoundThm76 = "thm7.6 q·B/2"
-	// BoundThm719 is the Theorem 7.19 / Corollary 7.1 optimum
-	// ⌊(q+1)/2⌋·B for the edge-disjoint forest.
-	BoundThm719 = "thm7.19 (q+1)·B/2"
-	// BoundSingleLink is the one-tree baseline's trivial cap of one link
-	// bandwidth.
-	BoundSingleLink = "single link B"
-)
-
 // ScorePoint is one measured-vs-model record: a (q, embedding) design
 // point with the Algorithm 1 prediction, the simulated measurement, the
 // theorem floor, and the simulator's link and phase counters that
@@ -79,8 +67,8 @@ type ScorePoint struct {
 	MeasuredBW float64 `json:"measured_bw"`
 	BWRelErr   float64 `json:"bw_rel_err"`
 	// Bound is the embedding's proven aggregate-bandwidth floor and
-	// BoundName identifies the theorem. MeetsBound is true when
-	// MeasuredBW ≥ Bound·(1−Tolerance).
+	// BoundName identifies the theorem (see core.Floor). MeetsBound is
+	// true when MeasuredBW ≥ Bound·(1−Tolerance).
 	Bound      float64 `json:"bound"`
 	BoundName  string  `json:"bound_name"`
 	MeetsBound bool    `json:"meets_bound"`
@@ -153,17 +141,7 @@ func scorePoint(row core.SimRow, tolerance float64) ScorePoint {
 	if pt.ModelBW > 0 {
 		pt.BWRelErr = (pt.MeasuredBW - pt.ModelBW) / pt.ModelBW
 	}
-	switch row.Kind {
-	case core.SingleTree:
-		pt.Bound, pt.BoundName = 1.0, BoundSingleLink
-	case core.LowDepth:
-		pt.Bound, pt.BoundName = bandwidth.LowDepthBound(row.Q, 1.0), BoundThm76
-	case core.Hamiltonian:
-		pt.Bound, pt.BoundName = bandwidth.HamiltonianBound(row.Trees, 1.0), BoundThm719
-	case core.DepthTwo:
-		// Not part of the sweep; no proven floor.
-		pt.Bound, pt.BoundName = 0, "none"
-	}
+	pt.Bound, pt.BoundName = core.Floor(row.Q, row.Kind, row.Trees)
 	pt.MeetsBound = pt.MeasuredBW >= pt.Bound*(1-tolerance)
 	return pt
 }

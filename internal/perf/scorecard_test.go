@@ -3,6 +3,8 @@ package perf
 import (
 	"strings"
 	"testing"
+
+	"polarfly/internal/core"
 )
 
 // TestScorecardQ3 runs the smallest real sweep end to end and checks the
@@ -56,12 +58,12 @@ func TestScorecardQ3(t *testing.T) {
 	}
 	// The theorem floors for q=3: low-depth ≥ q·B/2 = 1.5, hamiltonian
 	// bound 2·B = ⌊(q+1)/2⌋·B.
-	if points[1].BoundName != BoundThm76 || points[1].Bound < 1.49 || points[1].Bound > 1.51 {
+	if points[1].BoundName != core.BoundThm76 || points[1].Bound < 1.49 || points[1].Bound > 1.51 {
 		t.Errorf("low-depth bound %v (%s), want 1.5 (%s)",
-			points[1].Bound, points[1].BoundName, BoundThm76)
+			points[1].Bound, points[1].BoundName, core.BoundThm76)
 	}
-	if points[2].BoundName != BoundThm719 {
-		t.Errorf("hamiltonian bound name %q, want %q", points[2].BoundName, BoundThm719)
+	if points[2].BoundName != core.BoundThm719 {
+		t.Errorf("hamiltonian bound name %q, want %q", points[2].BoundName, core.BoundThm719)
 	}
 	// Theorem 7.6 congestion structure: low-depth ≤ 2, hamiltonian
 	// edge-disjoint (=1, zero shared links).
@@ -130,8 +132,8 @@ func TestScorecardConfigValidation(t *testing.T) {
 // TestScorecardFailures checks the failure listing on fabricated points.
 func TestScorecardFailures(t *testing.T) {
 	points := []ScorePoint{
-		{Q: 3, Embedding: "ok", ModelBW: 2, MeasuredBW: 1.95, BWRelErr: -0.025, Bound: 1.5, BoundName: BoundThm76, MeetsBound: true},
-		{Q: 3, Embedding: "drifted", ModelBW: 2, MeasuredBW: 1.0, BWRelErr: -0.5, Bound: 1.5, BoundName: BoundThm76, MeetsBound: false},
+		{Q: 3, Embedding: "ok", ModelBW: 2, MeasuredBW: 1.95, BWRelErr: -0.025, Bound: 1.5, BoundName: core.BoundThm76, MeetsBound: true},
+		{Q: 3, Embedding: "drifted", ModelBW: 2, MeasuredBW: 1.0, BWRelErr: -0.5, Bound: 1.5, BoundName: core.BoundThm76, MeetsBound: false},
 	}
 	fails := ScorecardFailures(points, 0.10)
 	if len(fails) != 2 {

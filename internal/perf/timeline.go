@@ -63,20 +63,6 @@ func DefaultTimelineConfig() TimelineConfig {
 	}
 }
 
-// timelineFloor is the embedding's proven aggregate-bandwidth floor.
-func timelineFloor(q int, kind core.EmbeddingKind, e *core.Embedding) float64 {
-	switch kind {
-	case core.SingleTree:
-		return 1.0
-	case core.LowDepth:
-		return bandwidth.LowDepthBound(q, 1.0)
-	case core.Hamiltonian:
-		return bandwidth.HamiltonianBound(len(e.Forest), 1.0)
-	default: // DepthTwo has no proven floor
-		return 0
-	}
-}
-
 // Timeline sweeps every embedding of the design point through a sampled
 // simulation and returns one tsdb snapshot per embedding, in
 // core.ComparisonKinds order. Each run is independent — sampler,
@@ -96,6 +82,46 @@ func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 	})
 }
 
+// Telemetry is one run's tsdb rig: the bounded-memory sampler, the
+// analyzer checking its windows against the design point's bounds, and
+// the metadata of the snapshot built from them.
+type Telemetry struct {
+	sampler  *tsdb.Sampler
+	analyzer *tsdb.Analyzer
+	meta     tsdb.SnapshotMeta
+}
+
+// AttachTelemetry builds the telemetry rig for embedding e of order q
+// and vector length m, and wires its sampler into c. Tolerance widens
+// the analyzer's bound checks; faulted turns off the fault-free floor
+// check, which a mid-run failure legitimately breaks.
+func AttachTelemetry(sc tsdb.Config, q, m int, e *core.Embedding, tolerance float64, faulted bool, c *netsim.Config) (*Telemetry, error) {
+	s, err := tsdb.New(sc)
+	if err != nil {
+		return nil, err
+	}
+	floor, _ := core.Floor(q, e.Kind, len(e.Forest))
+	meta := tsdb.SnapshotMeta{
+		Q: q, Kind: e.Kind.String(), M: m, Nodes: e.Topology.N(),
+		Aggregate: e.Model.Aggregate, Optimal: bandwidth.Optimal(q, 1.0), Floor: floor,
+	}
+	a := tsdb.NewAnalyzer(s, tsdb.AnalyzerConfig{
+		Tolerance: tolerance,
+		Bounds: tsdb.Bounds{Nodes: meta.Nodes, Aggregate: meta.Aggregate,
+			Optimal: meta.Optimal, Floor: meta.Floor, FaultFree: !faulted},
+		Predicted: core.ModelLinkLoads(e),
+	})
+	c.SampleEvery = sc.SampleEvery
+	c.Sample = s.Sample
+	return &Telemetry{sampler: s, analyzer: a, meta: meta}, nil
+}
+
+// Snapshot builds the run's timeline snapshot from what the sampler and
+// analyzer have seen.
+func (t *Telemetry) Snapshot() *tsdb.Snapshot {
+	return tsdb.BuildSnapshot(t.sampler, t.analyzer, t.meta)
+}
+
 // timelineRun simulates one embedding with the telemetry stack attached.
 func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, error) {
 	inst, err := core.NewInstance(cfg.Q)
@@ -106,25 +132,13 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 	if err != nil {
 		return nil, err
 	}
-	sampler, err := tsdb.New(tsdb.Config{SampleEvery: cfg.SampleEvery,
-		Windows: cfg.Windows, Levels: cfg.Levels, Factor: cfg.Factor})
+	faulted := cfg.FaultAt > 0 && len(e.Forest) > 1
+	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth}
+	tel, err := AttachTelemetry(tsdb.Config{SampleEvery: cfg.SampleEvery, Windows: cfg.Windows,
+		Levels: cfg.Levels, Factor: cfg.Factor}, cfg.Q, cfg.M, e, cfg.Tolerance, faulted, &runCfg)
 	if err != nil {
 		return nil, err
 	}
-	faulted := cfg.FaultAt > 0 && len(e.Forest) > 1
-	analyzer := tsdb.NewAnalyzer(sampler, tsdb.AnalyzerConfig{
-		Tolerance: cfg.Tolerance,
-		Bounds: tsdb.Bounds{
-			Nodes:     inst.N(),
-			Aggregate: e.Model.Aggregate,
-			Optimal:   bandwidth.Optimal(cfg.Q, 1.0),
-			Floor:     timelineFloor(cfg.Q, kind, e),
-			FaultFree: !faulted,
-		},
-		Predicted: core.ModelLinkLoads(e),
-	})
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth,
-		SampleEvery: cfg.SampleEvery, Sample: sampler.Sample}
 	var col *obsv.Collector
 	if faulted {
 		var u, v int
@@ -148,12 +162,7 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 	if err != nil {
 		return nil, fmt.Errorf("perf: timeline q=%d %v: %w", cfg.Q, kind, err)
 	}
-	sn := tsdb.BuildSnapshot(sampler, analyzer, tsdb.SnapshotMeta{
-		Q: cfg.Q, Kind: kind.String(), M: cfg.M, Nodes: inst.N(),
-		Aggregate: e.Model.Aggregate,
-		Optimal:   bandwidth.Optimal(cfg.Q, 1.0),
-		Floor:     timelineFloor(cfg.Q, kind, e),
-	})
+	sn := tel.Snapshot()
 	if col != nil {
 		col.SetCycles(res.Cycles)
 		rep := col.Report()

@@ -261,13 +261,8 @@ func (s *System) Allreduce(p *Plan, inputs [][]int64, opt Options) ([]int64, *St
 		return nil, nil, err
 	}
 	want := netsim.ExpectedOutput(inputs)
-	for v := range res.Outputs {
-		for k := range want {
-			if res.Outputs[v][k] != want[k] {
-				return nil, nil, fmt.Errorf("polarfly: internal error: node %d element %d reduced to %d, want %d",
-					v, k, res.Outputs[v][k], want[k])
-			}
-		}
+	if err := s.inst.CheckOutputs(res.Outputs, want); err != nil {
+		return nil, nil, fmt.Errorf("polarfly: internal error: %w", err)
 	}
 	m := len(want)
 	st := &Stats{
