@@ -482,7 +482,7 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", def.Seed, "workload seed")
 	tol := fs.Float64("tol", def.Tolerance, "bound-check tolerance (relative)")
 	maxBytes := fs.Int("max-bytes", 0, "fail if the sampler footprint exceeds this many bytes per run (0 disables)")
-	faultAt := fs.Int("fault-at", 0, "inject a link failure at this cycle on multi-tree embeddings and cross-check the telemetry-derived events against the trace (0 disables)")
+	faultAt := fs.Int("fault-at", 0, "inject a link failure at this cycle on multi-tree embeddings and cross-check the telemetry-derived events against the simulator's own fault and recovery record (0 disables)")
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
 	label := fs.String("label", "timeline", "snapshot label; output file is TIMELINE_<label>.json")
 	outDir := fs.String("out", ".", "directory for the TIMELINE_<label>.json snapshot")

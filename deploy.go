@@ -172,13 +172,7 @@ func (s *System) PlanFromTrees(method Method, ts []Tree) (*Plan, error) {
 			}
 		}
 	}
-	emb := &core.Embedding{Kind: core.EmbeddingKind(method), Forest: forest, Topology: topo}
-	emb.Model = bandwidth.ForForest(forest, 1.0)
-	for _, t := range forest {
-		if d := t.MaxDepth(); d > emb.MaxDepth {
-			emb.MaxDepth = d
-		}
-	}
+	emb := core.NewEmbedding(core.EmbeddingKind(method), forest, topo)
 	p := &Plan{
 		Method:             method,
 		PerTreeBandwidth:   emb.Model.PerTree,

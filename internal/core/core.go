@@ -110,37 +110,20 @@ type Embedding struct {
 	// SingleTree/LowDepth, the Singer construction for Hamiltonian; the
 	// two are isomorphic).
 	Topology *graph.Graph
-	// Model is the Algorithm 1 evaluation at LinkB link bandwidth.
+	// Model is the Algorithm 1 evaluation at one flit per link per cycle.
 	Model bandwidth.Result
 	// MaxDepth is the deepest tree in the forest (latency proxy).
 	MaxDepth int
-	// LinkB is the per-link bandwidth (flits/cycle) the model was
-	// evaluated at. Embed uses 1.0; WithLinkBandwidth reprices it for
-	// trunked-link configurations. Degrade and SubsetEmbedding preserve
-	// it, so degraded predictions stay comparable to the original run.
-	// Zero is read as 1.0 (a zero-value Embedding predates this field).
-	LinkB float64
 }
 
-// linkB returns the embedding's link bandwidth, defaulting zero to 1.0.
-func (e *Embedding) linkB() float64 {
-	if e.LinkB > 0 {
-		return e.LinkB
+// NewEmbedding wraps a forest spanning topo with its Algorithm 1 model
+// and maximum depth.
+func NewEmbedding(kind EmbeddingKind, forest []*trees.Tree, topo *graph.Graph) *Embedding {
+	e := &Embedding{Kind: kind, Forest: forest, Topology: topo, Model: bandwidth.ForForest(forest, 1)}
+	for _, t := range forest {
+		e.MaxDepth = max(e.MaxDepth, t.MaxDepth())
 	}
-	return 1.0
-}
-
-// WithLinkBandwidth returns a copy of the embedding with the Algorithm 1
-// model re-evaluated at link bandwidth b (flits/cycle), matching a
-// netsim.Config with the same LinkBandwidth.
-func (e *Embedding) WithLinkBandwidth(b float64) (*Embedding, error) {
-	if b <= 0 {
-		return nil, fmt.Errorf("core: link bandwidth %g, must be > 0", b)
-	}
-	out := *e
-	out.LinkB = b
-	out.Model = bandwidth.ForForest(e.Forest, b)
-	return &out, nil
+	return e
 }
 
 // Embed derives the requested embedding. For Hamiltonian it uses
@@ -180,14 +163,7 @@ func (in *Instance) EmbedSeeded(kind EmbeddingKind, tries int, seed int64) (*Emb
 	if err != nil {
 		return nil, err
 	}
-	e := &Embedding{Kind: kind, Forest: forest, Topology: topo, LinkB: 1.0}
-	e.Model = bandwidth.ForForest(forest, e.LinkB)
-	for _, t := range forest {
-		if d := t.MaxDepth(); d > e.MaxDepth {
-			e.MaxDepth = d
-		}
-	}
-	return e, nil
+	return NewEmbedding(kind, forest, topo), nil
 }
 
 // ModelMaxLinkLoad is the Algorithm 1 prediction of the busiest link's

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"polarfly/internal/bandwidth"
 	"polarfly/internal/graph"
 	"polarfly/internal/trees"
 )
@@ -42,23 +41,16 @@ func Degrade(e *Embedding, failed [][2]int) (*Embedding, error) {
 			dead[ti] = true
 		}
 	}
-	var surviving []*trees.Tree
-	for i, t := range e.Forest {
+	var alive []int
+	for i := range e.Forest {
 		if !dead[i] {
-			surviving = append(surviving, t)
+			alive = append(alive, i)
 		}
 	}
-	if len(surviving) == 0 {
+	if len(alive) == 0 {
 		return nil, fmt.Errorf("core: all %d trees cross a failed link", len(e.Forest))
 	}
-	out := &Embedding{Kind: e.Kind, Forest: surviving, Topology: e.Topology, LinkB: e.linkB()}
-	out.Model = bandwidth.ForForest(surviving, out.LinkB)
-	for _, t := range surviving {
-		if d := t.MaxDepth(); d > out.MaxDepth {
-			out.MaxDepth = d
-		}
-	}
-	return out, nil
+	return SubsetEmbedding(e, alive)
 }
 
 // SubsetEmbedding returns an embedding restricted to the given tree
@@ -77,14 +69,7 @@ func SubsetEmbedding(e *Embedding, indices []int) (*Embedding, error) {
 		seen[i] = true
 		forest = append(forest, e.Forest[i])
 	}
-	out := &Embedding{Kind: e.Kind, Forest: forest, Topology: e.Topology, LinkB: e.linkB()}
-	out.Model = bandwidth.ForForest(forest, out.LinkB)
-	for _, t := range forest {
-		if d := t.MaxDepth(); d > out.MaxDepth {
-			out.MaxDepth = d
-		}
-	}
-	return out, nil
+	return NewEmbedding(e.Kind, forest, e.Topology), nil
 }
 
 // WorstCaseLink returns the undirected link whose single failure hurts

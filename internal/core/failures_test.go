@@ -283,47 +283,6 @@ func TestWorstCaseLink(t *testing.T) {
 	}
 }
 
-// TestDegradePreservesLinkBandwidth is the satellite-1 regression: the
-// survivors' model must be evaluated at the original embedding's link
-// bandwidth, not hard-coded 1.0.
-func TestDegradePreservesLinkBandwidth(t *testing.T) {
-	in := instance(t, 5)
-	e, err := in.Embed(Hamiltonian)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e4, err := e.WithLinkBandwidth(4.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e4.Model.Aggregate != 4.0*e.Model.Aggregate {
-		t.Fatalf("repriced aggregate %f, want %f", e4.Model.Aggregate, 4.0*e.Model.Aggregate)
-	}
-	victim := e4.Forest[0].Edges()[0]
-	deg, err := Degrade(e4, [][2]int{{victim.U, victim.V}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deg.LinkB != 4.0 {
-		t.Errorf("degraded LinkB = %g, want 4", deg.LinkB)
-	}
-	// Edge-disjoint forest: each tree contributes LinkB to the aggregate.
-	want := e4.Model.Aggregate - 4.0
-	if deg.Model.Aggregate != want {
-		t.Errorf("degraded aggregate %f at LinkB=4, want %f", deg.Model.Aggregate, want)
-	}
-	sub, err := SubsetEmbedding(e4, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.LinkB != 4.0 || sub.Model.Aggregate != 8.0 {
-		t.Errorf("subset at LinkB=4: LinkB=%g aggregate=%f, want 4 and 8", sub.LinkB, sub.Model.Aggregate)
-	}
-	if _, err := e.WithLinkBandwidth(0); err == nil {
-		t.Error("WithLinkBandwidth(0) accepted")
-	}
-}
-
 func TestFailureTolerance(t *testing.T) {
 	rows, err := FailureTolerance(5)
 	if err != nil {

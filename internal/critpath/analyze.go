@@ -3,6 +3,8 @@ package critpath
 import (
 	"fmt"
 	"sort"
+
+	"polarfly/internal/netsim"
 )
 
 // Segment is one critical-path interval covering cycles (Start, End],
@@ -328,10 +330,7 @@ func (w *walker) walk(cur node) error {
 				return nil
 			}
 			f := b.faults[fi]
-			detect := r.cycle - f.cycle
-			if detect > b.detectDeadline {
-				detect = b.detectDeadline
-			}
+			detect := min(r.cycle-f.cycle, netsim.DetectDeadline(b.linkLatency))
 			w.recOn++
 			w.recLat += r.cycle - f.cycle
 			w.recRounds = append(w.recRounds, cur.ri)

@@ -51,7 +51,7 @@ const (
 	ClassCreditStall
 	// ClassFaultDetect blames detection latency: the slice of a
 	// (fault, recovery] interval up to the timeout deadline
-	// (LinkLatency + FaultDetectTimeout).
+	// (netsim.DetectDeadline).
 	ClassFaultDetect
 	// ClassRecovery blames the re-split: the remainder of a
 	// (fault, recovery] interval beyond the detection deadline.
@@ -122,8 +122,7 @@ type linkLog struct {
 	streams []int32 // stream ids, parallel to cycles
 }
 
-// sendAt reports the stream that injected on the link at cycle g (the
-// first one, under trunked LinkBandwidth > 1), or -1.
+// sendAt reports the stream that injected on the link at cycle g, or -1.
 func (ll *linkLog) sendAt(g int) int32 {
 	if ll == nil {
 		return -1
@@ -162,8 +161,7 @@ type recoverMark struct {
 // Attach it with Attach (chaining any existing hook) or feed Observe
 // directly; events must arrive in the simulator's deterministic order.
 type Builder struct {
-	linkLatency    int
-	detectDeadline int // LinkLatency + FaultDetectTimeout, defaults applied
+	linkLatency int
 
 	streams  []*stream
 	streamID map[streamKey]int32
@@ -182,30 +180,23 @@ type Builder struct {
 	doneFlit   int
 }
 
-// NewBuilder returns an empty builder with LinkLatency 1 and the
-// corresponding default detection deadline; Attach overrides both from
-// the run's Config.
+// NewBuilder returns an empty builder with LinkLatency 1; Attach
+// overrides it from the run's Config. The fault detection deadline is
+// netsim.DetectDeadline of that latency.
 func NewBuilder() *Builder {
 	return &Builder{
-		linkLatency:    1,
-		detectDeadline: 1 + 4*1,
-		streamID:       make(map[streamKey]int32),
-		links:          make(map[[2]int]*linkLog),
+		linkLatency: 1,
+		streamID:    make(map[streamKey]int32),
+		links:       make(map[[2]int]*linkLog),
 	}
 }
 
 // Attach hooks the builder into a simulation config, chaining any trace
-// hook already installed, and adopts the config's link latency and fault
-// detection deadline (replicating Config.validate's defaulting, which
-// runs on a copy). Call before netsim.Run.
+// hook already installed, and adopts the config's link latency. Call
+// before netsim.Run.
 func (b *Builder) Attach(cfg *netsim.Config) {
 	if cfg.LinkLatency >= 1 {
 		b.linkLatency = cfg.LinkLatency
-		fdt := cfg.FaultDetectTimeout
-		if fdt == 0 {
-			fdt = 4 * cfg.LinkLatency
-		}
-		b.detectDeadline = cfg.LinkLatency + fdt
 	}
 	prev := cfg.Trace
 	cfg.Trace = func(ev netsim.TraceEvent) {

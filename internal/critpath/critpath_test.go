@@ -39,7 +39,6 @@ func TestConservationFaultFree(t *testing.T) {
 		for _, cfg := range []netsim.Config{
 			{LinkLatency: 1, VCDepth: 4},
 			{LinkLatency: 3, VCDepth: 2}, // VCDepth < latency: credit stalls guaranteed
-			{LinkLatency: 2, VCDepth: 8, LinkBandwidth: 2},
 		} {
 			b, res, _ := runWithBuilder(t, 3, kind, 96, cfg)
 			a, err := b.Analyze(res.Cycles)

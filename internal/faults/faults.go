@@ -105,7 +105,8 @@ type Fault struct {
 	// EngineStall (exclusive); 0 means the fault lasts forever.
 	// LinkDown ignores it.
 	Until int `json:"until,omitempty"`
-	// Bandwidth is the LinkDegraded cap in flits/cycle (0 < Bandwidth).
+	// Bandwidth is the LinkDegraded cap in flits/cycle (0 < Bandwidth < 1,
+	// below the healthy link's one flit per cycle).
 	Bandwidth float64 `json:"bandwidth,omitempty"`
 	// Period is the LinkStorm window-to-window stride in cycles; it must
 	// exceed the window length Until-At so the link heals between bursts.
@@ -214,8 +215,10 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("faults: fault %d: period/repeat only apply to link-storm", i)
 		}
 		if f.Kind == LinkDegraded {
-			if !(f.Bandwidth > 0) {
-				return fmt.Errorf("faults: fault %d: degraded bandwidth %g, must be > 0", i, f.Bandwidth)
+			// Links carry one flit per cycle, so a cap of 1 or more
+			// would meter nothing.
+			if !(f.Bandwidth > 0 && f.Bandwidth < 1) {
+				return fmt.Errorf("faults: fault %d: degraded bandwidth %g, must be in (0, 1) flits/cycle", i, f.Bandwidth)
 			}
 			//lint:ignore floatcmp exact-zero sentinel: the JSON zero value means "field absent", not a tiny bandwidth
 		} else if f.Bandwidth != 0 {

@@ -41,6 +41,8 @@ func TestValidateRejects(t *testing.T) {
 		{"empty window", Fault{Kind: LinkTransient, U: 0, V: 1, At: 9, Until: 9}, "empty"},
 		{"zero bandwidth", Fault{Kind: LinkDegraded, U: 0, V: 1, At: 1, Bandwidth: 0}, "bandwidth"},
 		{"negative bandwidth", Fault{Kind: LinkDegraded, U: 0, V: 1, At: 1, Bandwidth: -2}, "bandwidth"},
+		{"full-rate bandwidth", Fault{Kind: LinkDegraded, U: 0, V: 1, At: 1, Bandwidth: 1}, "bandwidth"},
+		{"above-rate bandwidth", Fault{Kind: LinkDegraded, U: 0, V: 1, At: 1, Bandwidth: 2}, "bandwidth"},
 		{"bandwidth on down", Fault{Kind: LinkDown, U: 0, V: 1, At: 1, Bandwidth: 1}, "only applies"},
 		{"negative node", Fault{Kind: EngineStall, Node: -3, At: 1}, "negative node"},
 		{"unknown kind", Fault{Kind: Kind(99), At: 1}, "unknown kind"},

@@ -27,8 +27,8 @@ type ArenaFootprint struct {
 	VCBufferBytes int64
 	// LinkBytes is the link records and the frozen link/CSR indexes.
 	LinkBytes int64
-	// PipelineBytes is the in-flight rings (LinkBandwidth × LinkLatency
-	// slots per link).
+	// PipelineBytes is the in-flight rings (LinkLatency slots per link:
+	// one injection per cycle, each airborne LinkLatency cycles).
 	PipelineBytes int64
 	// OutputBytes is the shared n×m result matrix.
 	OutputBytes int64

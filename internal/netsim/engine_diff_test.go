@@ -221,7 +221,7 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceVariants covers the configuration axes the main
-// matrix holds fixed: deep pipelines, trunked links, reduce/broadcast-only
+// matrix holds fixed: deep pipelines, reduce/broadcast-only
 // collectives on the event loop; a rate-limited reduction engine and the
 // fault abort paths (same ProgressError or sentinel at the same cycle) on
 // the loop Run selects for them.
@@ -236,7 +236,6 @@ func TestEngineEquivalenceVariants(t *testing.T) {
 	}{
 		{"deep-latency", Config{LinkLatency: 10, VCDepth: 16}, OpAllreduce},
 		{"latency-bound", Config{LinkLatency: 8, VCDepth: 3}, OpAllreduce},
-		{"trunked", Config{LinkLatency: 2, VCDepth: 6, LinkBandwidth: 3}, OpAllreduce},
 		{"engine-rate", Config{LinkLatency: 2, VCDepth: 4, EngineRate: 1}, OpAllreduce},
 		{"reduce-only", Config{LinkLatency: 3, VCDepth: 2}, OpReduce},
 		{"bcast-only", Config{LinkLatency: 3, VCDepth: 2}, OpBroadcast},

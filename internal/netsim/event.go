@@ -275,10 +275,6 @@ func (s *sim) eventLoop() (int, error) {
 	if ev == nil {
 		panic("netsim: internal: eventLoop without initEvent")
 	}
-	linkBW := s.cfg.LinkBandwidth
-	if linkBW == 0 {
-		linkBW = 1
-	}
 	now := 0
 	lastProgress := 0
 	cur, nxt := &ev.arb[0], &ev.arb[1]
@@ -321,7 +317,7 @@ func (s *sim) eventLoop() (int, error) {
 		// 4. Link arbitration over the woken set, ascending link id.
 		cnt := cur.drainTo(ev.scratch)
 		for i := 0; i < cnt; i++ {
-			if s.arbitrateLinkEv(s.links[ev.scratch[i]], now, linkBW, nxt) {
+			if s.arbitrateLinkEv(s.links[ev.scratch[i]], now, nxt) {
 				progressed = true
 			}
 		}
@@ -436,32 +432,20 @@ func (s *sim) rootComputeEv(now int, cur *linkSet) {
 		return
 	}
 	ev := s.ev
-	perJob := s.cfg.LinkBandwidth
-	if perJob == 0 {
-		perJob = 1
-	}
 	for _, j := range s.jobs {
 		if j.dead || j.done {
 			continue
 		}
 		root := s.spec.Forest[j.tree].Root
 		nt := &j.nodes[root]
-		mt := j.m
-		for slot := 0; slot < perJob; slot++ {
-			if nt.rootComputed >= mt {
-				break
-			}
-			k := nt.rootComputed
-			if len(nt.redIn) > 0 && nt.redMin <= k {
-				break
-			}
+		if k := nt.rootComputed; k < j.m && (len(nt.redIn) == 0 || nt.redMin > k) {
 			v := nt.seg[k]
 			for _, cf := range nt.redIn {
 				v += cf.at(k)
 			}
 			nt.rootResult[k] = v
 			nt.rootComputed++
-			if nt.rootComputed == mt {
+			if nt.rootComputed == j.m {
 				s.result.TreeReduceDone[j.tree] = now
 			}
 			nt.delivered++
@@ -482,7 +466,7 @@ func (s *sim) rootComputeEv(now int, cur *linkSet) {
 				s.addConsumeNow(cf, now)
 			}
 		}
-		if !j.done && nt.rootComputed < mt &&
+		if !j.done && nt.rootComputed < j.m &&
 			(len(nt.redIn) == 0 || nt.redMin > nt.rootComputed) {
 			ev.rootNext = true
 		}
@@ -525,18 +509,18 @@ func (s *sim) consumeFlowEv(f *flow, cur *linkSet) {
 }
 
 // arbitrateLinkEv is the cycle loop's arbitration scan for one link (same
-// round-robin restart discipline, same credit-stall gate), plus the wake
-// consequences of each send: the scheduled arrival enters the wheel, and
-// the sender's own receive buffers may retire next cycle. The closing
+// round-robin order, same credit-stall gate, one send at most), plus the
+// wake consequences of the send: the scheduled arrival enters the wheel,
+// and the sender's own receive buffers may retire next cycle. The closing
 // data-present scan re-arms the link for the next cycle whenever any
 // stream still has data to move — this single rule is what keeps
 // credit-stalled streams scanned (and their stall telemetry counted)
 // every cycle, exactly like the reference loop.
-func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
+func (s *sim) arbitrateLinkEv(l *link, now int, nxt *linkSet) bool {
 	ev := s.ev
 	nf := len(l.flows)
-	sentThisCycle := 0
-	for i := 0; i < nf && sentThisCycle < linkBW; i++ {
+	sent := false
+	for i := 0; i < nf; i++ {
 		f := l.flows[(l.rr+i)%nf]
 		if f.sent >= f.m {
 			continue // stream finished
@@ -586,15 +570,9 @@ func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
 			s.addConsumeNext(f.snd.bcastIn, now)
 		}
 		l.rr = (l.rr + i + 1) % nf
-		sentThisCycle++
-		// Restart the round-robin scan so fairness is preserved across
-		// the remaining budget.
-		i = -1
-		nf = len(l.flows)
-	}
-	l.flits += sentThisCycle
-	if sentThisCycle > 0 {
-		l.busyCycles++
+		l.flits++
+		sent = true
+		break
 	}
 	for _, f := range l.flows {
 		if f.sent < f.m && s.senderReadyFast(f) > f.sent {
@@ -602,5 +580,5 @@ func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
 			break
 		}
 	}
-	return sentThisCycle > 0
+	return sent
 }

@@ -233,10 +233,6 @@ func (s *sim) applyFaults(now int) {
 					l.degRate = rate
 					if !wasDegraded {
 						l.degBudget = 0
-					} else if burst := maxf(1, rate); l.degBudget > burst {
-						// A still-open tighter window keeps its banked
-						// budget, clamped to the recomputed burst cap.
-						l.degBudget = burst
 					}
 				}
 			}
@@ -284,13 +280,13 @@ func (s *sim) purgePipeline(l *link, now int) int {
 
 // detectAndRecover scans every virtual channel for an overdue oldest
 // outstanding flit (healthy flits arrive after exactly LinkLatency
-// cycles, so an age beyond LinkLatency+FaultDetectTimeout proves loss),
+// cycles, so an age beyond DetectDeadline(LinkLatency) proves loss),
 // then runs one recovery round: quarantine the suspect links, abort every
 // tree crossing them, purge their flows, and re-issue the aborted
 // elements over the surviving trees with a backlog-aware waterfill split.
 // It reports whether a recovery happened.
 func (s *sim) detectAndRecover(now int) (bool, error) {
-	deadline := s.cfg.LinkLatency + s.cfg.FaultDetectTimeout
+	deadline := DetectDeadline(s.cfg.LinkLatency)
 	var suspects [][2]int
 	seen := make(map[[2]int]bool)
 	for _, l := range s.links {
@@ -422,11 +418,7 @@ func (s *sim) detectAndRecover(now int) (bool, error) {
 		for i, ti := range alive {
 			forest[i] = s.spec.Forest[ti]
 		}
-		linkB := float64(s.cfg.LinkBandwidth)
-		if s.cfg.LinkBandwidth == 0 {
-			linkB = 1
-		}
-		model := bandwidth.ForForest(forest, linkB)
+		model := bandwidth.ForForest(forest, 1)
 		backlog := make([]int, len(alive))
 		for i, ti := range alive {
 			for _, j := range s.jobs {

@@ -372,7 +372,4 @@ func TestFaultSpecValidation(t *testing.T) {
 	if _, err := Run(spec, Config{LinkLatency: 2, VCDepth: 4, Faults: ok}); err == nil {
 		t.Error("fault plan accepted for OpReduce")
 	}
-	if _, err := Run(spec, Config{LinkLatency: 2, VCDepth: 4, FaultDetectTimeout: -1}); err == nil {
-		t.Error("negative FaultDetectTimeout accepted")
-	}
 }

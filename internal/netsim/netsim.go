@@ -55,10 +55,6 @@ type Config struct {
 	// deterministic order. Tracing large runs is expensive; intended for
 	// debugging and fine-grained analysis. lint:cold
 	Trace func(TraceEvent)
-	// LinkBandwidth is the number of flits a directed link can accept per
-	// cycle (trunked links). Zero means 1. All analytic comparisons in
-	// this repository use 1; higher values scale the fabric uniformly.
-	LinkBandwidth int
 	// Faults is the deterministic fault plan injected into the run; nil
 	// runs fault-free. Link faults drop flits and (unless DisableRecovery
 	// is set) trigger timeout detection and tree-level recovery; degraded
@@ -69,12 +65,6 @@ type Config struct {
 	// a link fault simply stop making progress, so the run ends in a
 	// *ProgressError carrying the stalled-tree diagnostic.
 	DisableRecovery bool
-	// FaultDetectTimeout is how many cycles beyond LinkLatency a virtual
-	// channel waits for its oldest outstanding flit before declaring it
-	// lost. Healthy flits always arrive after exactly LinkLatency cycles,
-	// so any value ≥ 0 is free of false positives. Defaults to
-	// 4·LinkLatency when zero.
-	FaultDetectTimeout int
 	// MaxRecoveries bounds recovery nesting: faults landing while a prior
 	// recovery's re-issues are still in flight trigger further recovery
 	// rounds, and each round quarantines at least one fresh link, so the
@@ -103,6 +93,12 @@ const DefaultProgressTimeout = 10000
 // simulated PolarFly, so only a genuinely pathological schedule hits it.
 const DefaultMaxRecoveries = 1024
 
+// DetectDeadline is the age, in cycles since injection, beyond which a
+// virtual channel's oldest outstanding flit is declared lost. Healthy
+// flits always arrive after exactly linkLatency cycles, so the 4·linkLatency
+// slack on top can never fire on a healthy link.
+func DetectDeadline(linkLatency int) int { return 5 * linkLatency }
+
 // DefaultConfig mirrors a plausible router point: 10-cycle links and
 // buffers matching the latency-bandwidth product.
 func DefaultConfig() Config {
@@ -122,20 +118,11 @@ func (c *Config) validate() error {
 	if c.EngineRate < 0 {
 		return fmt.Errorf("netsim: EngineRate must be ≥ 0, got %d", c.EngineRate)
 	}
-	if c.LinkBandwidth < 0 {
-		return fmt.Errorf("netsim: LinkBandwidth must be ≥ 0, got %d", c.LinkBandwidth)
-	}
 	if c.ProgressTimeout < 0 {
 		return fmt.Errorf("netsim: ProgressTimeout must be ≥ 0, got %d", c.ProgressTimeout)
 	}
 	if c.ProgressTimeout == 0 {
 		c.ProgressTimeout = DefaultProgressTimeout
-	}
-	if c.FaultDetectTimeout < 0 {
-		return fmt.Errorf("netsim: FaultDetectTimeout must be ≥ 0, got %d", c.FaultDetectTimeout)
-	}
-	if c.FaultDetectTimeout == 0 {
-		c.FaultDetectTimeout = 4 * c.LinkLatency
 	}
 	if c.MaxRecoveries < 0 {
 		return fmt.Errorf("netsim: MaxRecoveries must be ≥ 0, got %d", c.MaxRecoveries)
@@ -290,8 +277,9 @@ type LinkStat struct {
 	From, To int
 	// Flits is the number of flits injected into this link.
 	Flits int
-	// BusyCycles counts cycles in which at least one flit was injected;
-	// with LinkBandwidth 1 it equals Flits.
+	// BusyCycles counts cycles in which the link injected a flit. A link
+	// injects at most one flit per cycle, so it always equals Flits; it
+	// is kept as the numerator of Utilization.
 	BusyCycles int
 	// StallCycles counts cycles in which at least one of the link's
 	// virtual channels had a flit ready but no credit to send it.
@@ -454,8 +442,9 @@ type link struct {
 
 	// pipeline[pipeHead:] are the in-flight flits in arrival order.
 	// Delivery advances pipeHead; injection compacts retired space and
-	// appends, so the LinkBandwidth·LinkLatency capacity allocated at
-	// freeze time is never outgrown.
+	// appends, so the LinkLatency capacity allocated at freeze time (one
+	// injection per cycle, each airborne LinkLatency cycles) is never
+	// outgrown.
 	pipeline []inflight
 	pipeHead int
 
@@ -472,9 +461,9 @@ type link struct {
 	degRate   float64
 	degBudget float64
 
-	// Telemetry accumulators for Result.LinkStats.
+	// Telemetry accumulators for Result.LinkStats. flits is also the
+	// link's busy-cycle count: it injects at most one flit per cycle.
 	flits       int
-	busyCycles  int
 	stallCycles int
 	stallMark   int // last cycle counted in stallCycles
 	peakBuf     int

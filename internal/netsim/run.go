@@ -246,9 +246,8 @@ func newSim(spec Spec, cfg Config, choice loopChoice) (*sim, error) {
 
 	// Replace the construction map with the CSR row index the recovery
 	// re-issues resolve through, and give every link a pipeline sized for
-	// its maximum in-flight load (LinkBandwidth injections per cycle, each
-	// airborne LinkLatency cycles) so injection never grows the backing
-	// array.
+	// its maximum in-flight load (one injection per cycle, each airborne
+	// LinkLatency cycles) so injection never grows the backing array.
 	s.rowStart = make([]int32, n+1)
 	for _, l := range s.links {
 		s.rowStart[l.from+1]++
@@ -256,13 +255,9 @@ func newSim(spec Spec, cfg Config, choice loopChoice) (*sim, error) {
 	for v := 0; v < n; v++ {
 		s.rowStart[v+1] += s.rowStart[v]
 	}
-	bw := cfg.LinkBandwidth
-	if bw == 0 {
-		bw = 1
-	}
 	for id, l := range s.links {
 		l.id = int32(id)
-		l.pipeline = make([]inflight, 0, bw*cfg.LinkLatency)
+		l.pipeline = make([]inflight, 0, cfg.LinkLatency)
 	}
 	s.frozen = true
 	s.initSampling()
@@ -476,17 +471,11 @@ func (s *sim) updateConsumed() {
 }
 
 // rootCompute advances every root reduction engine by at most one flit per
-// job per cycle (link rate), recording the final value and delivering it
-// locally.
+// job per cycle (link rate, §5.1, unless EngineRate caps total output),
+// recording the final value and delivering it locally.
 func (s *sim) rootCompute(now int) {
 	if s.spec.Op == OpBroadcast {
 		return // roots already hold their source data
-	}
-	// The reduction engine runs at link rate: up to LinkBandwidth flits
-	// per job per cycle (§5.1), unless EngineRate caps total output.
-	perJob := s.cfg.LinkBandwidth
-	if perJob == 0 {
-		perJob = 1
 	}
 	for _, j := range s.jobs {
 		if j.dead || j.done {
@@ -496,50 +485,37 @@ func (s *sim) rootCompute(now int) {
 		if s.faultsOn && s.stalled[root] {
 			continue
 		}
-		nt := &j.nodes[root]
-		mt := j.m
-		for slot := 0; slot < perJob; slot++ {
-			if nt.rootComputed >= mt {
-				break
-			}
-			if s.cfg.EngineRate > 0 && s.engineUsed[root] >= s.cfg.EngineRate {
-				break
-			}
-			k := nt.rootComputed
-			ready := true
-			for _, cf := range nt.redIn {
-				if cf.arrived <= k {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				break
-			}
-			v := nt.seg[k]
-			for _, cf := range nt.redIn {
-				v += cf.at(k)
-			}
-			// rootResult aliases s.outputs[root][goff:goff+mt], so this one
-			// write is both the engine output and the local delivery.
-			nt.rootResult[k] = v
-			nt.rootComputed++
-			if nt.rootComputed == mt {
-				s.result.TreeReduceDone[j.tree] = now
-			}
-			nt.delivered++
-			if s.sampling {
-				s.delivered++
-			}
-			s.engineUsed[root]++
-			s.pending--
-			j.remaining--
-			if s.traced {
-				s.emit(TraceEvent{Cycle: now, Kind: TraceRootCompute, Tree: j.tree,
-					From: root, To: root, Flit: k, Value: v, Job: j.idx})
-			}
-			s.checkJobDone(j, now)
+		if s.cfg.EngineRate > 0 && s.engineUsed[root] >= s.cfg.EngineRate {
+			continue
 		}
+		nt := &j.nodes[root]
+		k := nt.rootComputed
+		if k >= j.m || nt.reduceReady(j.m) <= k {
+			continue
+		}
+		v := nt.seg[k]
+		for _, cf := range nt.redIn {
+			v += cf.at(k)
+		}
+		// rootResult aliases s.outputs[root][goff:goff+m], so this one
+		// write is both the engine output and the local delivery.
+		nt.rootResult[k] = v
+		nt.rootComputed++
+		if nt.rootComputed == j.m {
+			s.result.TreeReduceDone[j.tree] = now
+		}
+		nt.delivered++
+		if s.sampling {
+			s.delivered++
+		}
+		s.engineUsed[root]++
+		s.pending--
+		j.remaining--
+		if s.traced {
+			s.emit(TraceEvent{Cycle: now, Kind: TraceRootCompute, Tree: j.tree,
+				From: root, To: root, Flit: k, Value: v, Job: j.idx})
+		}
+		s.checkJobDone(j, now)
 	}
 }
 
@@ -682,28 +658,21 @@ func (s *sim) cycleLoop() (int, error) {
 		// 3. Credit release from receiver progress.
 		s.updateConsumed()
 
-		// 4. Link arbitration: LinkBandwidth flits per directed link per
-		//    cycle (default 1), round-robin over virtual channels with
-		//    data and credit.
-		linkBW := s.cfg.LinkBandwidth
-		if linkBW == 0 {
-			linkBW = 1
-		}
+		// 4. Link arbitration: one flit per directed link per cycle, from
+		//    the first virtual channel in round-robin order with data and
+		//    credit.
 		for _, l := range s.links {
 			if l.degraded {
-				// Token bucket: refill at the degraded rate, burst capped
-				// so idle cycles cannot bank unbounded credit.
-				l.degBudget += l.degRate
-				if burst := maxf(1, l.degRate); l.degBudget > burst {
-					l.degBudget = burst
+				// Token bucket: refill at the degraded rate (below one
+				// flit per cycle), burst capped at one flit so idle
+				// cycles cannot bank credit.
+				l.degBudget = min(l.degBudget+l.degRate, 1)
+				if l.degBudget < 1 {
+					continue // metered out this cycle
 				}
 			}
 			nf := len(l.flows)
-			sentThisCycle := 0
-			for i := 0; i < nf && sentThisCycle < linkBW; i++ {
-				if l.degraded && l.degBudget < 1 {
-					break // metered out this cycle
-				}
+			for i := 0; i < nf; i++ {
 				f := l.flows[(l.rr+i)%nf]
 				if f.sent >= f.m {
 					continue // stream finished
@@ -757,16 +726,9 @@ func (s *sim) cycleLoop() (int, error) {
 					l.degBudget--
 				}
 				l.rr = (l.rr + i + 1) % nf
-				sentThisCycle++
+				l.flits++
 				progressed = true
-				// Restart the round-robin scan so fairness is preserved
-				// across the remaining budget.
-				i = -1
-				nf = len(l.flows)
-			}
-			l.flits += sentThisCycle
-			if sentThisCycle > 0 {
-				l.busyCycles++
+				break
 			}
 		}
 
@@ -875,25 +837,18 @@ func (s *sim) finalize(now int) (*Result, error) {
 		ls := LinkStat{
 			From: l.from, To: l.to,
 			Flits:           l.flits,
-			BusyCycles:      l.busyCycles,
+			BusyCycles:      l.flits,
 			StallCycles:     l.stallCycles,
 			Dropped:         l.dropped,
 			PeakBufferFlits: l.peakBuf,
 			Trees:           len(treeSet),
 		}
 		if now > 0 {
-			ls.Utilization = float64(l.busyCycles) / float64(now)
+			ls.Utilization = float64(l.flits) / float64(now)
 		}
 		s.result.LinkStats = append(s.result.LinkStats, ls)
 	}
 	return &s.result, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ExpectedOutput computes the reference element-wise sum of the inputs,

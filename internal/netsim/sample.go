@@ -21,7 +21,7 @@ type LinkCounters struct {
 	From, To int
 	// Flits is the number of flits injected into the link.
 	Flits int
-	// BusyCycles counts cycles with at least one injection.
+	// BusyCycles counts cycles with an injection; it equals Flits.
 	BusyCycles int
 	// StallCycles counts cycles with at least one credit-stalled VC.
 	StallCycles int
@@ -112,7 +112,7 @@ func (s *sim) sampleNow(now int, final bool) {
 	for i, l := range s.links {
 		c := &s.sampleScratch[i]
 		c.Flits = l.flits
-		c.BusyCycles = l.busyCycles
+		c.BusyCycles = l.flits
 		c.StallCycles = l.stallCycles
 		c.Dropped = l.dropped
 		c.Buffered = l.curBuf

@@ -8,7 +8,6 @@ import (
 	"polarfly/internal/core"
 	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
-	"polarfly/internal/obsv"
 	"polarfly/internal/parrun"
 	"polarfly/internal/tsdb"
 	"polarfly/internal/workload"
@@ -22,7 +21,7 @@ const KindTimeline = "timeline"
 // simulated Allreduce per embedding of one design point, with the tsdb
 // sampler and analyzer attached, gated on the bandwidth bounds, the
 // fixed-memory footprint, and — when a fault is injected — the analyzer
-// reproducing the obsv trace's ground-truth fault timing exactly.
+// reproducing the simulator's ground-truth fault timing exactly.
 type TimelineConfig struct {
 	// Q is the PolarFly order and M the Allreduce vector length.
 	Q int `json:"q"`
@@ -45,7 +44,8 @@ type TimelineConfig struct {
 	// FaultAt, when > 0, fails the first edge of tree 0 at that cycle on
 	// every multi-tree embedding (the single-tree baseline stays
 	// fault-free — a link failure kills its only tree) and cross-checks
-	// the analyzer's telemetry-derived events against the obsv trace.
+	// the analyzer's telemetry-derived events against the fault plan and
+	// the simulator's recovery record.
 	FaultAt int `json:"fault_at,omitempty"`
 	// Parallel is the parrun pool size; excluded from snapshots because
 	// the ordered commit makes output independent of it.
@@ -65,8 +65,8 @@ func DefaultTimelineConfig() TimelineConfig {
 
 // Timeline sweeps every embedding of the design point through a sampled
 // simulation and returns one tsdb snapshot per embedding, in
-// core.ComparisonKinds order. Each run is independent — sampler,
-// analyzer, and collector are all job-local — so cfg.Parallel of them
+// core.ComparisonKinds order. Each run is independent — sampler and
+// analyzer are job-local — so cfg.Parallel of them
 // run on a parrun pool with ordered commit keeping the result
 // byte-identical to a serial sweep.
 func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
@@ -139,7 +139,7 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 	if err != nil {
 		return nil, err
 	}
-	var col *obsv.Collector
+	var plan *faults.Plan
 	if faulted {
 		var u, v int
 		for w, p := range e.Forest[0].Parent {
@@ -148,14 +148,10 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 				break
 			}
 		}
-		runCfg.Faults = &faults.Plan{Faults: []faults.Fault{
+		plan = &faults.Plan{Faults: []faults.Fault{
 			{Kind: faults.LinkDown, U: u, V: v, At: cfg.FaultAt},
 		}}
-		// The trace collector supplies the ground truth the analyzer's
-		// telemetry-only detection is checked against.
-		col = obsv.NewCollector()
-		col.DisableSpans = true // Metrics-only; Chrome spans are O(flits) at q=31 scale
-		col.Attach(&runCfg)
+		runCfg.Faults = plan
 	}
 	inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
 	res, err := inst.Allreduce(e, inputs, runCfg)
@@ -163,25 +159,24 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 		return nil, fmt.Errorf("perf: timeline q=%d %v: %w", cfg.Q, kind, err)
 	}
 	sn := tel.Snapshot()
-	if col != nil {
-		col.SetCycles(res.Cycles)
-		rep := col.Report()
-		sn.GroundTruth = groundTruth(sn, rep)
+	if plan != nil {
+		sn.GroundTruth = groundTruth(sn, plan.Faults[0].At, res.Result)
 	}
 	return sn, nil
 }
 
-// groundTruth builds the trace-side event record and checks the
-// analyzer's telemetry-derived events against it: same fault cycles,
-// same recovery cycles, same latency attribution — exactly.
-func groundTruth(sn *tsdb.Snapshot, rep *obsv.Report) *tsdb.GroundTruth {
+// groundTruth builds the simulator-side event record of a run with one
+// LinkDown at cycle at and checks the analyzer's telemetry-derived events
+// against it: same fault cycle (the fault fires only if the run reaches
+// it), same recovery cycles, same latency attribution — exactly.
+func groundTruth(sn *tsdb.Snapshot, at int, res *netsim.Result) *tsdb.GroundTruth {
 	gt := &tsdb.GroundTruth{Match: true}
-	for _, f := range rep.Faults {
-		gt.FaultCycles = append(gt.FaultCycles, f.Cycle)
+	if at <= res.Cycles {
+		gt.FaultCycles = append(gt.FaultCycles, at)
 	}
-	for _, r := range rep.Recoveries {
+	for _, r := range res.Recoveries {
 		gt.RecoverCycles = append(gt.RecoverCycles, r.Cycle)
-		gt.Latencies = append(gt.Latencies, r.LatencyCycles)
+		gt.Latencies = append(gt.Latencies, r.Cycle-at)
 	}
 	if len(sn.Faults) != len(gt.FaultCycles) || len(sn.Recoveries) != len(gt.RecoverCycles) {
 		gt.Match = false

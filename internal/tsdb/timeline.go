@@ -51,15 +51,17 @@ type Point struct {
 	Recoveries int `json:"recoveries,omitempty"`
 }
 
-// GroundTruth is the obsv-trace cross-check of the telemetry-derived
-// fault events: the exact cycles from TraceFault/TraceRecover marks and
-// whether the analyzer reproduced them.
+// GroundTruth is the simulator-side cross-check of the telemetry-derived
+// fault events: the exact fault cycles the run reached, the recovery
+// cycles it recorded, and whether the analyzer reproduced them.
 type GroundTruth struct {
 	FaultCycles   []int `json:"fault_cycles"`
 	RecoverCycles []int `json:"recover_cycles"`
-	// Latencies are the obsv per-recovery latency attributions.
+	// Latencies are the per-recovery detection latencies (recovery cycle
+	// minus fault cycle).
 	Latencies []int `json:"latencies"`
-	// Match is true when the analyzer's events equal the trace exactly.
+	// Match is true when the analyzer's events equal the ground truth
+	// exactly.
 	Match bool `json:"match"`
 }
 
